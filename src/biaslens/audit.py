@@ -388,7 +388,11 @@ def _train_once(
 ):
     model = _build_audit_model(options, len(train_data.class_order))
     probe = balanced_probe(val_data, options.probe_per_class, seed=options.seed)
-    tracker = BehaviorTracker(probe, with_sensitivity=options.track_sensitivity)
+    tracker = BehaviorTracker(
+        probe,
+        with_sensitivity=options.track_sensitivity,
+        sensitivity_samples=options.sensitivity_samples,
+    )
     if weights is not None:
         w_vec = weights.as_vector(train_data.class_order)
 

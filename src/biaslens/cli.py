@@ -408,12 +408,13 @@ def _load_data(cfg: RunConfig) -> SyntheticData:
     )
 
 
-def _arch_from_config(cfg: RunConfig) -> dict:
+def _arch_from_config(cfg: RunConfig, data: SyntheticData) -> dict:
+    """Model architecture from the flags; the input size comes from the
+    loaded images, which for --manifest data is the manifest's, not
+    --image-size."""
     v = cfg.values
-    side = int(v["image_size"]) if not v.get("manifest") else None
-    arch: dict = {}
-    if side is not None:
-        arch["input_hw"] = (side, side)
+    h, w = data.dataset.images.shape[2:]
+    arch: dict = {"input_hw": (h, w)}
     if v["model"] == "tiny_cnn":
         channels = _parse_int_tuple(v["channels"], "--channels")
         if len(channels) != 2:
@@ -446,7 +447,7 @@ def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
     )
 
 
-def _audit_options(cfg: RunConfig, seed: int) -> AuditOptions:
+def _audit_options(cfg: RunConfig, seed: int, data: SyntheticData) -> AuditOptions:
     v = cfg.values
     split = _parse_float_tuple(v["split"], "--split")
     if len(split) != 3:
@@ -468,7 +469,7 @@ def _audit_options(cfg: RunConfig, seed: int) -> AuditOptions:
         epsilon_gap=float(v["epsilon_gap"]),
         fn_delta_threshold=float(v["fn_threshold"]),
         ap_delta_threshold=float(v["ap_threshold"]),
-        arch=_arch_from_config(cfg),
+        arch=_arch_from_config(cfg, data),
         track_sensitivity=bool(v["track_sensitivity"]),
     )
 
@@ -635,12 +636,9 @@ def _materialize_plan(
 def cmd_train(cfg: RunConfig) -> int:
     seed = int(cfg.values["seed"])
     data = _load_data(cfg)
-    arch = {"kind": cfg.values["model"], "n_classes": len(data.dataset.class_order), **_arch_from_config(cfg)}
+    arch = {"kind": cfg.values["model"], "n_classes": len(data.dataset.class_order), **_arch_from_config(cfg, data)}
     if cfg.values["model"] == "tiny_vit":
         arch.setdefault("dropout", float(cfg.values["dropout"]))
-    if cfg.values.get("manifest"):
-        h, w = data.dataset.images.shape[2:]
-        arch["input_hw"] = (h, w)
     model = build_model(arch, seed=seed)
     loss_fn = None
     if cfg.values["weighted"]:
@@ -668,7 +666,7 @@ def _audit_one(payload: tuple) -> dict:
     cfg_values, subcommand, out_dir, seed, strategy_name = payload
     cfg = RunConfig(subcommand, Path(out_dir), cfg_values)
     data = _data_for_seed(cfg, seed)
-    options = _audit_options(cfg, seed)
+    options = _audit_options(cfg, seed, data)
     run = run_audit(data, options, out_dir=cfg.out_dir)
     summary: dict = {"seed": seed, "run_dir": str(run.run_dir)}
     report = run.report
@@ -727,7 +725,7 @@ def cmd_mitigate(cfg: RunConfig) -> int:
 def cmd_recalibrate(cfg: RunConfig) -> int:
     seed = int(cfg.values["seed"])
     data = _data_for_seed(cfg, seed)
-    options = _audit_options(cfg, seed)
+    options = _audit_options(cfg, seed, data)
     state, rows = recalibration_loop(data, options)
     cfg.write()
     payload = {

@@ -148,7 +148,16 @@ class LayerNorm(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution via im2col; input layout (N, C, H, W)."""
+    """2-D convolution via im2col and batched GEMM; input layout (N, C, H, W).
+
+    Forward unfolds each sample's receptive fields into a (C*k*k, OH*OW)
+    column matrix and multiplies it by the (O, C*k*k) weight matrix.
+    Backward forms the input gradient as ``W.T @ dy`` folded back onto the
+    image, and the weight gradient as the per-sample ``dy @ cols.T``
+    summed over the batch. Each product is a stacked ``np.matmul``: one
+    BLAS GEMM per sample, so a sample's result does not depend on the
+    batch it came in.
+    """
 
     def __init__(
         self,
@@ -185,11 +194,15 @@ class Conv2D(Layer):
         k, s, p = self.kernel, self.stride, self.padding
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        if p:
+            xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+            xp[:, :, p : p + h, p : p + w] = x
+        else:
+            xp = x
         cols = self._im2col(xp, oh, ow)
         self._cols, self._x_shape, self._out_hw = cols, x.shape, (oh, ow)
         w_col = self.params["W"].reshape(self.out_channels, -1)
-        out = np.einsum("of,nfl->nol", w_col, cols) + self.params["b"][None, :, None]
+        out = w_col @ cols + self.params["b"][None, :, None]
         return out.reshape(n, self.out_channels, oh, ow)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -197,14 +210,12 @@ class Conv2D(Layer):
         oh, ow = self._out_hw
         k, s, p = self.kernel, self.stride, self.padding
         dy2 = dy.reshape(n, self.out_channels, oh * ow)
-        self.grads["W"] += np.einsum("nol,nfl->of", dy2, self._cols).reshape(
+        self.grads["W"] += (dy2 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.params["W"].shape
         )
         self.grads["b"] += dy2.sum(axis=(0, 2))
         w_col = self.params["W"].reshape(self.out_channels, -1)
-        dcols = np.einsum("of,nol->nfl", w_col, dy2).reshape(
-            n, self.in_channels, k, k, oh, ow
-        )
+        dcols = (w_col.T @ dy2).reshape(n, self.in_channels, k, k, oh, ow)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         for i in range(k):
             for j in range(k):
@@ -213,29 +224,51 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Non-overlapping max pooling; ties resolve to the first maximum."""
+    """Non-overlapping max pooling; ties resolve to the first maximum.
+
+    Forward takes the elementwise maximum of the size*size strided views
+    ``x[:, :, i::size, j::size]``. In the same pass it marks, view by view
+    in row-major order, where each window's first maximum sits: a bool
+    "first winner" mask, one plane per view, with as many elements as
+    ``x``. Backward scatters ``dy`` through that mask one strided view at
+    a time. The mask, not ``x``, is what stays cached: it is an eighth of
+    the bytes.
+    """
 
     def __init__(self, size: int = 2) -> None:
         super().__init__()
         self.size = size
+
+    def _views(self) -> list[tuple[slice, ...]]:
+        s = self.size
+        return [
+            (slice(None), slice(None), slice(i, None, s), slice(j, None, s))
+            for i in range(s)
+            for j in range(s)
+        ]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         s = self.size
         if h % s or w % s:
             raise ShapeError(f"MaxPool2D size {s} does not divide input {h}x{w}")
-        oh, ow = h // s, w // s
-        windows = x.reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, oh, ow, s * s
-        )
-        self._argmax = windows.argmax(axis=-1)
-        self._in_shape = x.shape
-        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
+        views = self._views()
+        out = x[views[0]].copy()
+        for v in views[1:]:
+            # On a tie np.maximum returns its second argument, so the
+            # earlier view's value stays, down to the sign of a zero.
+            np.maximum(x[v], out, out=out)
+        mask = np.empty((s * s, n, c, h // s, w // s), dtype=bool)
+        taken = np.zeros(out.shape, dtype=bool)
+        for win, v in zip(mask, views):
+            np.equal(x[v], out, out=win)
+            win &= ~taken
+            taken |= win
+        self._mask, self._in_shape = mask, x.shape
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._in_shape
-        s = self.size
-        oh, ow = h // s, w // s
-        dwin = np.zeros((n, c, oh, ow, s * s))
-        np.put_along_axis(dwin, self._argmax[..., None], dy[..., None], axis=-1)
-        return dwin.reshape(n, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        dx = np.empty(self._in_shape)
+        for win, v in zip(self._mask, self._views()):
+            dx[v] = np.where(win, dy, 0.0)
+        return dx

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biaslens.behavior as behavior_mod
 from biaslens.audit import (
     AuditError,
     AuditOptions,
@@ -138,6 +139,20 @@ class TestCorrelateErrors:
 
 
 class TestRunAudit:
+    def test_epoch_tracking_probes_sensitivity_samples_per_class(self, monkeypatch):
+        probed = []
+        original = behavior_mod.sensitivity_score
+
+        def counting(model, images, tap, unit):
+            probed.append(len(images))
+            return original(model, images, tap, unit)
+
+        monkeypatch.setattr(behavior_mod, "sensitivity_score", counting)
+        # 180 samples leave 8 validation images of each class for the probe.
+        run = run_audit(small_data(n=180), small_options(track_sensitivity=True))
+        assert run.behavior.records
+        assert probed and set(probed) == {4}
+
     def test_report_shape(self, baseline_run):
         report = baseline_run.report
         assert report.post is None

@@ -17,10 +17,12 @@ from biaslens.synthetic import (
     write_synthetic_dataset,
 )
 
-FAST_AUDIT = [
-    "--synthetic", "balanced", "--n-samples", "60", "--image-size", "16",
+FAST_TRAIN = [
     "--channels", "4,6", "--epochs", "2", "--batch-size", "16",
     "--probe-per-class", "8", "--sensitivity-samples", "4",
+]
+FAST_AUDIT = [
+    "--synthetic", "balanced", "--n-samples", "60", "--image-size", "16", *FAST_TRAIN,
 ]
 FAST_VIT = [
     "--synthetic", "balanced", "--n-samples", "24", "--image-size", "16",
@@ -338,6 +340,21 @@ class TestMitigateCommand:
         report = json.loads((run_dir / "report.json").read_text())
         assert "post" in report and "deltas" in report
         assert "->" in capsys.readouterr().out
+
+    def test_manifest_images_set_the_input_size(self, tmp_path, capsys):
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=60, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=2)
+        )
+        manifest_path = write_synthetic_dataset(data, tmp_path / "data")
+        out = tmp_path / "out"
+        code = main([
+            "mitigate", "--manifest", str(manifest_path), "--images-root", str(tmp_path / "data"),
+            *FAST_TRAIN, "--strategy", "CostSensitive", "--out", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        run_dir = sorted(p for p in out.iterdir() if p.name.startswith("run-"))[0]
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["options"]["arch"]["input_hw"] == [16, 16]
 
 
 class TestRecalibrateCommand:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biaslens.losses import weighted_cross_entropy
 from biaslens.nn.attention import MultiHeadSelfAttention, attention_weights
-from biaslens.nn.layers import ShapeError
+from biaslens.nn.layers import Conv2D, MaxPool2D, ShapeError
 from biaslens.nn.models import TinyCNN, TinyViT, build_model
 
 FD_EPS = 1e-5
@@ -172,6 +172,93 @@ class TestMultiHeadAttention:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
             MultiHeadSelfAttention(dim=6, n_heads=4, rng=np.random.default_rng(0))
+
+
+def maxpool_reference(x, size, dy):
+    """Pooling by argmax over gathered windows; the first maximum wins."""
+    n, c, h, w = x.shape
+    oh, ow = h // size, w // size
+    windows = x.reshape(n, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(n, c, oh, ow, size * size)
+    argmax = windows.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(windows, argmax, axis=-1)[..., 0]
+    dwin = np.zeros(windows.shape)
+    np.put_along_axis(dwin, argmax, dy[..., None], axis=-1)
+    dx = dwin.reshape(n, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return out, dx
+
+
+def conv_reference(x, weight, bias, stride, padding, dy):
+    """Direct nested-loop convolution: output, input, weight and bias grads."""
+    n, c, h, w = x.shape
+    o, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    out = np.zeros((n, o, oh, ow))
+    dxp, dw, db = np.zeros(xp.shape), np.zeros(weight.shape), np.zeros(o)
+    for s in range(n):
+        for f in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + k)
+                    cols = slice(j * stride, j * stride + k)
+                    out[s, f, i, j] = np.sum(xp[s, :, rows, cols] * weight[f]) + bias[f]
+                    dxp[s, :, rows, cols] += dy[s, f, i, j] * weight[f]
+                    dw[f] += dy[s, f, i, j] * xp[s, :, rows, cols]
+                    db[f] += dy[s, f, i, j]
+    return out, dxp[:, :, padding : padding + h, padding : padding + w], dw, db
+
+
+class TestMaxPool2DReference:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(2, 3),
+        grid=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        levels=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_argmax_reference(self, seed, size, grid, levels):
+        # Rounding to a few levels makes ties common; levels=0 makes every
+        # window all-equal zeros of either sign.
+        rng = np.random.default_rng(seed)
+        n, c, oh, ow = grid
+        x = np.round(rng.standard_normal((n, c, oh * size, ow * size)) * levels)
+        dy = rng.standard_normal((n, c, oh, ow))
+        pool = MaxPool2D(size)
+        out = pool.forward(x)
+        dx = pool.backward(dy)
+        ref_out, ref_dx = maxpool_reference(x, size, dy)
+        assert out.shape == ref_out.shape and dx.shape == ref_dx.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+
+class TestConv2DReference:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_nested_loop_convolution(self, rng, stride, padding):
+        conv = Conv2D(2, 3, 3, rng, stride=stride, padding=padding)
+        conv.params["b"][...] = rng.standard_normal(3)
+        x = rng.standard_normal((2, 2, 8, 7))
+        out = conv.forward(x)
+        dy = rng.standard_normal(out.shape)
+        conv.zero_grads()
+        dx = conv.backward(dy)
+        ref_out, ref_dx, ref_dw, ref_db = conv_reference(
+            x, conv.params["W"], conv.params["b"], stride, padding, dy
+        )
+        npt.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        npt.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+        npt.assert_allclose(conv.grads["W"], ref_dw, rtol=0, atol=1e-12)
+        npt.assert_allclose(conv.grads["b"], ref_db, rtol=0, atol=1e-12)
+
+    def test_batch_forward_equals_per_sample_forwards(self, rng):
+        conv = Conv2D(4, 8, 3, rng, padding=1)
+        x = rng.standard_normal((8, 4, 16, 16))
+        batch = conv.forward(x)
+        singles = np.concatenate([conv.forward(x[i : i + 1]) for i in range(len(x))])
+        npt.assert_array_equal(batch, singles)
 
 
 class TestTinyCNNGradients:
