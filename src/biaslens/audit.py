@@ -20,14 +20,14 @@ from .augment import (
     DEFAULT_TAU_REL,
     AugmentRequest,
     SampleRelevanceStat,
-    apply_augment,
     attention_guided_augment_plan,
     lrp_informed_sample_plan,
+    materialize_plan,
 )
 from .behavior import (
     BehaviorTracker,
+    _summarize_attention,
     balanced_probe,
-    extract_attention,
     lrp_propagate,
     mass_by_cell,
     relevance_mass_in_box,
@@ -47,12 +47,12 @@ from .detmetrics import (
     write_metrics_csv,
 )
 from .losses import ClassWeights, compute_class_weights, dynamic_weight_adjust, weighted_ce_from_logits
-from .manifest import AnnotationRecord, ClassDistribution, DatasetManifest, compute_distribution
+from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
-from .nn.train import ArrayDataset, TrainConfig, evaluate, stratified_split, train
+from .nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, stratified_split, train
 from .sampling import ResamplePlan, combined_resample
-from .synthetic import SyntheticData
+from .synthetic import SyntheticData, normalize_box_to_center_form
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
 
@@ -234,7 +234,11 @@ def decode_center_box(
 
 def model_detections(model, data: SyntheticData) -> list[Detection]:
     """One detection per sample: argmax class, decoded box, max-prob score."""
-    stats = evaluate(model, data.dataset)
+    return _detections(evaluate(model, data.dataset), data)
+
+
+def _detections(stats: dict, data: SyntheticData) -> list[Detection]:
+    """Detections read from an ``evaluate`` result over ``data``."""
     if stats["boxes"] is None:
         raise AuditError("model has no box head; detection metrics unavailable")
     dets = []
@@ -268,7 +272,7 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
     """All report metrics for one trained model on the held-out split."""
     class_order = test.dataset.class_order
     stats = evaluate(model, test.dataset)
-    detections = model_detections(model, test)
+    detections = _detections(stats, test)
     match = match_detections(detections, test.manifest.records, options.iou_threshold)
     ap = per_class_ap(match)
     errors = per_class_errors(match)
@@ -280,8 +284,9 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
 
     probe = balanced_probe(test.dataset, options.probe_per_class, seed=options.seed)
     sel_sums: dict[str, list[float]] = {c: [] for c in class_order}
+    per_tap = unit_class_activations(model, probe)
     for tap in model.trunk_taps:
-        for _unit, acts in unit_class_activations(model, probe, tap).items():
+        for _unit, acts in per_tap[tap].items():
             for c, s in selectivity_score(acts).items():
                 sel_sums[c].append(s)
     selectivity = {c: float(np.mean(v)) for c, v in sel_sums.items()}
@@ -421,7 +426,7 @@ def run_audit(
         {c: m["selectivity"] for c, m in pre["per_class"].items()},
     )
     report = BiasReport(
-        dataset=_dist_json(dist),
+        dataset=dist.to_json_dict(),
         options=options.to_json_dict(),
         seed=options.seed,
         config_hash=options.config_hash(),
@@ -441,18 +446,6 @@ def run_audit(
     if out_dir is not None:
         run.run_dir = write_run_artifacts(run, out_dir)
     return run
-
-
-def _dist_json(dist: ClassDistribution) -> dict:
-    return {
-        "counts": dict(sorted(dist.counts.items())),
-        "percentages": dict(sorted(dist.percentages.items())),
-        "per_condition": {
-            cond.value: dict(sorted(classes.items()))
-            for cond, classes in sorted(dist.per_condition.items(), key=lambda kv: kv[0].value)
-        },
-        "total": dist.total,
-    }
 
 
 def _indices_by_id(data: SyntheticData) -> dict[str, int]:
@@ -477,22 +470,22 @@ def _resample_training(
     return resampled, plan
 
 
-def _lrp_informed_ids(model, train_d: SyntheticData, tau_rel: float) -> list[str]:
-    """Misclassified training samples whose relevance misses the box."""
-    res = model.forward(train_d.dataset.images, train=False)
-    preds = res.probs.argmax(axis=1)
+def _lrp_informed_ids(model, train_d: SyntheticData, inference, tau_rel: float) -> list[str]:
+    """Misclassified training samples whose relevance misses the box, read
+    from an inference pass over the training split with attention."""
+    preds = inference.probs.argmax(axis=1)
     stats, missed = [], []
     for i, record in enumerate(train_d.manifest.records):
         true_k = int(train_d.dataset.labels[i])
         if int(preds[i]) == true_k:
             continue
         missed.append(record.sample_id)
-        rmap = lrp_propagate(res.attention, int(preds[i]), sample=i, grid=model.grid)
+        rmap = lrp_propagate(inference.attention, int(preds[i]), sample=i, grid=model.grid)
         stats.append(
             SampleRelevanceStat(
                 sample_id=record.sample_id,
                 in_box_fraction=relevance_mass_in_box(rmap, model.patch, record.bbox),
-                loss=float(-np.log(max(res.probs[i, true_k], 1e-12))),
+                loss=float(-np.log(max(inference.probs[i, true_k], 1e-12))),
             )
         )
     return lrp_informed_sample_plan(stats, missed, tau_rel)
@@ -501,97 +494,59 @@ def _lrp_informed_ids(model, train_d: SyntheticData, tau_rel: float) -> list[str
 def _augment_training(
     run: AuditRun, train_d: SyntheticData
 ) -> tuple[SyntheticData, list[AugmentRequest], list[str]]:
-    """Attention-guided augmentation + LRP-informed duplication (ViT only)."""
+    """Attention-guided augmentation + LRP-informed duplication (ViT only).
+    The attention-mass plan and the relevance ranking read one batched
+    pass over the training split."""
     model = run.model
     if getattr(model, "kind", None) != "tiny_vit":
         raise AuditError(
             "Augment strategy needs attention data: train with model_kind='tiny_vit'"
         )
     options = run.options
-    summary = extract_attention(
-        model, train_d.dataset, conditions=[c.value for c in train_d.conditions]
+    ds = train_d.dataset
+    inference = _forward_pass(model, ds.images)
+    summary = _summarize_attention(
+        model, ds, inference.attention, conditions=[c.value for c in train_d.conditions]
     )
     masses = mass_by_cell(summary, train_d.manifest.records)
     plan = attention_guided_augment_plan(
         masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa
     )
+    new_records, new_images = materialize_plan(plan, train_d.manifest.records, ds.images)
 
-    images = [train_d.dataset.images]
-    labels = [train_d.dataset.labels]
-    boxes = [train_d.dataset.boxes]
-    ids = list(train_d.dataset.sample_ids)
-    records = list(train_d.manifest.records)
-    conditions = list(train_d.conditions)
-    class_index = {c: k for k, c in enumerate(train_d.dataset.class_order)}
-
-    cells: dict[tuple[str, object], list[int]] = {}
-    for i, record in enumerate(train_d.manifest.records):
-        cells.setdefault((record.class_label, record.condition), []).append(i)
-
-    from .synthetic import normalize_box_to_center_form
-
-    for request in plan:
-        sources = cells.get((request.class_label, request.condition), [])
-        if not sources:
-            continue
-        for j in range(request.count):
-            src = sources[j % len(sources)]
-            base = train_d.manifest.records[src]
-            new_record, new_image = apply_augment(
-                base, request.op, train_d.dataset.images[src, 0]
-            )
-            sid = f"{base.sample_id}-aug{j}"
-            new_record = AnnotationRecord(
-                sample_id=sid,
-                class_label=new_record.class_label,
-                bbox=new_record.bbox,
-                condition=new_record.condition,
-                image_size=new_record.image_size,
-            )
-            records.append(new_record)
-            conditions.append(new_record.condition)
-            ids.append(sid)
-            images.append(new_image[None, None, :, :])
-            labels.append(np.array([class_index[new_record.class_label]]))
-            boxes.append(
-                normalize_box_to_center_form(new_record.bbox, new_record.image_size)[None, :]
-            )
-
-    dup_ids = _lrp_informed_ids(model, train_d, options.tau_rel)
+    dup_ids = _lrp_informed_ids(model, train_d, inference, options.tau_rel)
     index = _indices_by_id(train_d)
     for n, sid in enumerate(dup_ids):
         src = index[sid]
-        base = train_d.manifest.records[src]
-        new_id = f"{sid}-rel{n}"
-        records.append(
-            AnnotationRecord(
-                sample_id=new_id,
-                class_label=base.class_label,
-                bbox=base.bbox,
-                condition=base.condition,
-                image_size=base.image_size,
-            )
+        new_records.append(
+            replace(train_d.manifest.records[src], sample_id=f"{sid}-rel{n}", image_ref=None)
         )
-        conditions.append(base.condition)
-        ids.append(new_id)
-        images.append(train_d.dataset.images[src : src + 1])
-        labels.append(train_d.dataset.labels[src : src + 1])
-        boxes.append(train_d.dataset.boxes[src : src + 1])
+        new_images.append(ds.images[src, 0])
 
+    class_index = {c: k for k, c in enumerate(ds.class_order)}
+    records = (*train_d.manifest.records, *new_records)
     augmented = SyntheticData(
         manifest=DatasetManifest(
-            records=tuple(records),
-            taxonomy=train_d.manifest.taxonomy,
-            seed=train_d.manifest.seed,
+            records=records, taxonomy=train_d.manifest.taxonomy, seed=train_d.manifest.seed
         ),
         dataset=ArrayDataset(
-            images=np.concatenate(images, axis=0),
-            labels=np.concatenate(labels, axis=0),
-            class_order=train_d.dataset.class_order,
-            boxes=np.concatenate(boxes, axis=0),
-            sample_ids=tuple(ids),
+            images=np.concatenate(
+                [ds.images, np.reshape(new_images, (-1, *ds.images.shape[1:]))]
+            ),
+            labels=np.concatenate([ds.labels, [class_index[r.class_label] for r in new_records]]),
+            class_order=ds.class_order,
+            boxes=np.concatenate(
+                [
+                    ds.boxes,
+                    np.reshape(
+                        [normalize_box_to_center_form(r.bbox, r.image_size) for r in new_records],
+                        (-1, 4),
+                    ),
+                ]
+            ),
+            sample_ids=tuple(r.sample_id for r in records),
         ),
-        conditions=tuple(conditions),
+        conditions=tuple(r.condition for r in records),
     )
     return augmented, plan, dup_ids
 

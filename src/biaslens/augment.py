@@ -8,7 +8,7 @@ boxes alone and clamp pixels to [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -47,10 +47,6 @@ class AugmentOp:
     def __post_init__(self) -> None:
         if self.kind in (AugmentKind.ZOOM, AugmentKind.CONTRAST) and self.factor <= 0:
             raise ValueError(f"{self.kind.value} factor must be positive, got {self.factor}")
-
-    @property
-    def geometric(self) -> bool:
-        return self.kind in _GEOMETRIC
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}
@@ -220,6 +216,31 @@ def attention_guided_augment_plan(
                 AugmentRequest(class_label, condition, CONDITION_OPS[condition], count)
             )
     return requests
+
+
+def materialize_plan(
+    plan: Iterable[AugmentRequest],
+    records: Sequence[AnnotationRecord],
+    images: np.ndarray,
+) -> tuple[list[AnnotationRecord], list[np.ndarray]]:
+    """New samples for a plan: each request's op applied round-robin over
+    the records of its (class, condition) cell, the j-th new sample of a
+    request named ``<source id>-aug<j>``. ``images`` holds one
+    (1, H, W) image per record; the new records carry no image_ref."""
+    cells: dict[tuple[str, Condition], list[int]] = {}
+    for i, record in enumerate(records):
+        cells.setdefault((record.class_label, record.condition), []).append(i)
+    new_records: list[AnnotationRecord] = []
+    new_images: list[np.ndarray] = []
+    for request in plan:
+        sources = cells.get((request.class_label, request.condition), [])
+        for j in range(request.count if sources else 0):
+            src = sources[j % len(sources)]
+            record, image = apply_augment(records[src], request.op, images[src, 0])
+            sid = f"{records[src].sample_id}-aug{j}"
+            new_records.append(replace(record, sample_id=sid, image_ref=None))
+            new_images.append(image)
+    return new_records, new_images
 
 
 @dataclass(frozen=True)

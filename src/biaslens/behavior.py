@@ -14,7 +14,7 @@ import numpy as np
 
 from .manifest import AnnotationRecord
 from .nn.snapshot import ModelSnapshot, model_from_snapshot
-from .nn.train import ArrayDataset
+from .nn.train import ArrayDataset, _forward_pass
 from .pgm import write_pgm
 
 PLATEAU_DELTA = 0.01
@@ -35,23 +35,14 @@ class UnsupportedArchitectureError(BehaviorError):
 # sensitivity / selectivity
 
 
-def unit_activation_matrix(model, images: np.ndarray, tap: str, batch_size: int = 256) -> np.ndarray:
-    """Per-sample mean activation of every unit at a trunk tap.
+def unit_activation_matrix(model, images: np.ndarray, batch_size: int = 256) -> dict[str, np.ndarray]:
+    """Per-sample mean activation of every unit at every trunk tap, from
+    one batched pass.
 
     Units are conv channels (spatial mean) or embedding dims (patch
-    mean); result shape (n_samples, n_units).
+    mean); each tap maps to shape (n_samples, n_units).
     """
-    rows = []
-    for start in range(0, images.shape[0], batch_size):
-        res = model.forward(images[start : start + batch_size], train=False)
-        act = dict(res.trunk)[tap]
-        if act.ndim == 4:  # (N, C, H, W) conv channels
-            rows.append(act.mean(axis=(2, 3)))
-        elif act.ndim == 3:  # (N, P, d) token embeddings
-            rows.append(act.mean(axis=1))
-        else:
-            rows.append(act)
-    return np.concatenate(rows, axis=0)
+    return _forward_pass(model, images, batch_size).unit_means
 
 
 def sensitivity_score(model, images: np.ndarray, tap: str, unit: int) -> float:
@@ -101,20 +92,21 @@ def selectivity_score(activations: Mapping[str, float]) -> dict[str, float]:
 
 
 def unit_class_activations(
-    model, dataset: ArrayDataset, tap: str
-) -> dict[int, dict[str, float]]:
-    """unit -> class -> mean activation over the dataset's samples."""
-    acts = unit_activation_matrix(model, dataset.images, tap)
-    out: dict[int, dict[str, float]] = {}
-    for unit in range(acts.shape[1]):
-        per_class: dict[str, float] = {}
-        for k, name in enumerate(dataset.class_order):
-            mask = dataset.labels == k
-            if not mask.any():
-                raise BehaviorError(f"probe set has no samples of class {name!r}")
-            per_class[name] = float(acts[mask, unit].mean())
-        out[unit] = per_class
-    return out
+    model, dataset: ArrayDataset
+) -> dict[str, dict[int, dict[str, float]]]:
+    """tap -> unit -> class -> mean activation over the dataset's samples."""
+    masks: dict[str, np.ndarray] = {}
+    for k, name in enumerate(dataset.class_order):
+        masks[name] = dataset.labels == k
+        if not masks[name].any():
+            raise BehaviorError(f"probe set has no samples of class {name!r}")
+    return {
+        tap: {
+            unit: {name: float(acts[mask, unit].mean()) for name, mask in masks.items()}
+            for unit in range(acts.shape[1])
+        }
+        for tap, acts in unit_activation_matrix(model, dataset.images).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +203,9 @@ class BehaviorTracker:
     def observe(self, model, epoch: int) -> dict[str, float]:
         taps = self.taps if self.taps is not None else model.trunk_taps
         class_means: dict[str, list[float]] = {c: [] for c in self.probe_set.class_order}
+        per_tap = unit_class_activations(model, self.probe_set)
         for tap in taps:
-            per_unit = unit_class_activations(model, self.probe_set, tap)
-            for unit, acts in per_unit.items():
+            for unit, acts in per_tap[tap].items():
                 sel = selectivity_score(acts)
                 for c, s in sel.items():
                     sens = float("nan")
@@ -271,24 +263,19 @@ class AttentionSummary:
     mean_by_condition: dict[str, np.ndarray]
     patch_mass: np.ndarray  # (N, P): head-averaged mean-query distribution
 
-    def sample_index(self, sample_id: str) -> int:
-        try:
-            return self.sample_ids.index(sample_id)
-        except ValueError:
-            raise BehaviorError(f"sample {sample_id!r} not in attention summary") from None
-
     def mass_on_gt(self, record: AnnotationRecord) -> float:
+        """Fraction of final-layer mean-query attention mass on patches
+        whose centers lie inside the record's box."""
         if tuple(record.image_size) != tuple(self.image_hw[::-1]):
             raise BehaviorError(
                 f"record frame {record.image_size} does not match summary "
                 f"image {self.image_hw[::-1]}"
             )
-        mask = patch_centers_in_box(self.grid, self.patch, record.bbox)
-        return float(self.patch_mass[self.sample_index(record.sample_id)][mask].sum())
-
-    def sample_attention(self, sample_id: str, layer: int) -> np.ndarray:
-        """(heads, P, P) attention for one sample at one layer."""
-        return self.per_layer[layer][self.sample_index(sample_id)]
+        try:
+            row = self.patch_mass[self.sample_ids.index(record.sample_id)]
+        except ValueError:
+            raise BehaviorError(f"sample {record.sample_id!r} not in attention summary") from None
+        return float(row[patch_centers_in_box(self.grid, self.patch, record.bbox)].sum())
 
 
 def patch_centers_in_box(
@@ -320,15 +307,26 @@ def extract_attention(
         raise UnsupportedArchitectureError(
             f"attention extraction needs a tiny_vit model, got {getattr(model, 'kind', type(model).__name__)!r}"
         )
-    res = model.forward(dataset.images, train=False)
-    if res.attention is None:
+    per_layer = _forward_pass(model, dataset.images).attention
+    if per_layer is None:
         raise BehaviorError("model forward produced no attention caches")
+    return _summarize_attention(model, dataset, per_layer, conditions)
+
+
+def _summarize_attention(
+    model,
+    dataset: ArrayDataset,
+    per_layer: tuple[np.ndarray, ...],
+    conditions: Sequence[str] | None,
+) -> AttentionSummary:
+    """The summary of a ViT's per-layer attention over a dataset, as
+    read from an inference pass."""
     n = len(dataset)
     sample_ids = dataset.sample_ids or tuple(f"sample-{i}" for i in range(n))
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)
     conds = tuple(conditions) if conditions is not None else ("",) * n
 
-    final_mean_heads = res.attention[-1].mean(axis=1)  # (N, P, P)
+    final_mean_heads = per_layer[-1].mean(axis=1)  # (N, P, P)
     patch_mass = final_mean_heads.mean(axis=1)  # (N, P) mean-query rows
 
     def _group_mean(key: Sequence[str]) -> dict[str, np.ndarray]:
@@ -343,7 +341,7 @@ def extract_attention(
         image_hw=(h, w),
         patch=model.patch,
         grid=model.grid,
-        per_layer=res.attention,
+        per_layer=per_layer,
         sample_ids=tuple(sample_ids),
         class_labels=class_labels,
         conditions=conds,
@@ -351,12 +349,6 @@ def extract_attention(
         mean_by_condition=_group_mean(conds) if conditions is not None else {},
         patch_mass=patch_mass,
     )
-
-
-def attention_mass_on_gt(summary: AttentionSummary, record: AnnotationRecord) -> float:
-    """Fraction of final-layer mean-query attention mass on patches
-    whose centers lie inside the record's box."""
-    return summary.mass_on_gt(record)
 
 
 def mass_by_cell(

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,11 @@ from .audit import (
     run_audit,
     run_mitigation,
 )
-from .augment import AugmentRequest, apply_augment, attention_guided_augment_plan
+from .augment import attention_guided_augment_plan, materialize_plan
 from .behavior import extract_attention, lrp_propagate, mass_by_cell
 from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights, weighted_ce_from_logits
 from .manifest import (
-    AnnotationRecord,
     DatasetManifest,
     compute_distribution,
     load_manifest,
@@ -500,16 +499,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     dist = compute_distribution(manifest)
     cfg.write()
     out = cfg.out_dir
-    payload = {
-        "counts": dict(sorted(dist.counts.items())),
-        "percentages": dict(sorted(dist.percentages.items())),
-        "per_condition": {
-            c.value: dict(sorted(v.items()))
-            for c, v in sorted(dist.per_condition.items(), key=lambda kv: kv[0].value)
-        },
-        "total": dist.total,
-    }
-    (out / "distribution.json").write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    (out / "distribution.json").write_text(
+        canonical_json(dist.to_json_dict()) + "\n", encoding="utf-8"
+    )
     classes = sorted(dist.counts)
     with (out / "distribution.csv").open("w", encoding="utf-8", newline="") as fh:
         fh.write("class,count,percentage\n")
@@ -590,47 +582,18 @@ def cmd_augment(cfg: RunConfig) -> int:
     (out / "plan.json").write_text(
         canonical_json([r.to_json_dict() for r in plan]) + "\n", encoding="utf-8"
     )
-    new_records = _materialize_plan(plan, data, out)
+    (out / "images").mkdir(parents=True, exist_ok=True)
+    new_records = []
+    for record, image in zip(*materialize_plan(plan, data.manifest.records, data.dataset.images)):
+        ref = f"images/{record.sample_id}.pgm"
+        write_pgm(image, out / ref)
+        new_records.append(replace(record, image_ref=ref))
     write_manifest(
         DatasetManifest(records=tuple(new_records), taxonomy=manifest.taxonomy, seed=manifest.seed),
         out / "augmented.jsonl",
     )
     print(f"plan entries: {len(plan)}; new samples written: {len(new_records)}")
     return 0
-
-
-def _materialize_plan(
-    plan: list[AugmentRequest], data: SyntheticData, out: Path
-) -> list[AnnotationRecord]:
-    """Apply each request round-robin over its (class, condition) cell,
-    writing one PGM per new sample under out/images."""
-    cells: dict[tuple[str, object], list[int]] = {}
-    for i, record in enumerate(data.manifest.records):
-        cells.setdefault((record.class_label, record.condition), []).append(i)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    new_records: list[AnnotationRecord] = []
-    for request in plan:
-        sources = cells.get((request.class_label, request.condition), [])
-        if not sources:
-            continue
-        for j in range(request.count):
-            src = sources[j % len(sources)]
-            base = data.manifest.records[src]
-            augmented, image = apply_augment(base, request.op, data.dataset.images[src, 0])
-            sid = f"{base.sample_id}-aug{j}"
-            ref = f"images/{sid}.pgm"
-            write_pgm(image, out / ref)
-            new_records.append(
-                AnnotationRecord(
-                    sample_id=sid,
-                    class_label=augmented.class_label,
-                    bbox=augmented.bbox,
-                    condition=augmented.condition,
-                    image_size=augmented.image_size,
-                    image_ref=ref,
-                )
-            )
-    return new_records
 
 
 def cmd_train(cfg: RunConfig) -> int:

@@ -87,6 +87,14 @@ class AnnotationRecord:
             size = tuple(int(v) for v in obj["image_size"])
         except KeyError as exc:
             raise ManifestError(f"missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ManifestError(
+                f"bbox and image_size must be lists of numbers, got "
+                f"{obj.get('bbox')!r} and {obj.get('image_size')!r}"
+            ) from None
+        image_ref = obj.get("image_ref")
+        if image_ref is not None and not isinstance(image_ref, str):
+            raise ManifestError(f"image_ref must be a string, got {image_ref!r}")
         if len(bbox) != 4:
             raise ManifestError(f"bbox must have 4 elements, got {len(bbox)}")
         if len(size) != 2:
@@ -98,7 +106,7 @@ class AnnotationRecord:
                 bbox=bbox,  # type: ignore[arg-type]
                 condition=condition,
                 image_size=size,  # type: ignore[arg-type]
-                image_ref=obj.get("image_ref"),
+                image_ref=image_ref,
             )
         except KeyError as exc:
             raise ManifestError(f"missing key {exc.args[0]!r}") from None
@@ -133,6 +141,17 @@ class ClassDistribution:
     per_condition: dict[Condition, dict[str, int]]
     total: int
 
+    def to_json_dict(self) -> dict:
+        return {
+            "counts": dict(sorted(self.counts.items())),
+            "percentages": dict(sorted(self.percentages.items())),
+            "per_condition": {
+                cond.value: dict(sorted(classes.items()))
+                for cond, classes in sorted(self.per_condition.items(), key=lambda kv: kv[0].value)
+            },
+            "total": self.total,
+        }
+
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a JSONL manifest file.
@@ -146,18 +165,28 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     records: list[AnnotationRecord] = []
     header_taxonomy: set[str] = set()
     seed = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            if lineno == 1 and isinstance(obj, dict) and "sample_id" not in obj:
-                header_taxonomy = set(obj.get("taxonomy", ()))
-                seed = int(obj.get("seed", 0))
+            if not isinstance(obj, dict):
+                raise ManifestError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            if lineno == 1 and "sample_id" not in obj:
+                taxonomy = obj.get("taxonomy", [])
+                if not (isinstance(taxonomy, list) and all(isinstance(t, str) for t in taxonomy)):
+                    raise ManifestError(f"{path}:{lineno}: header taxonomy must be a list of labels")
+                try:
+                    seed = int(obj.get("seed", 0))
+                except (TypeError, ValueError, OverflowError):
+                    raise ManifestError(f"{path}:{lineno}: header seed must be an integer") from None
+                header_taxonomy = set(taxonomy)
                 continue
             try:
                 records.append(AnnotationRecord.from_json_dict(obj))

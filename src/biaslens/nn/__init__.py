@@ -5,7 +5,6 @@ from .layers import (
     Conv2D,
     Dense,
     Dropout,
-    Flatten,
     GELU,
     LayerNorm,
     MaxPool2D,
@@ -30,7 +29,6 @@ __all__ = [
     "Conv2D",
     "Dense",
     "Dropout",
-    "Flatten",
     "ForwardResult",
     "GELU",
     "LayerNorm",

@@ -11,13 +11,8 @@ import math
 
 import numpy as np
 
+from ..losses import softmax
 from .layers import Layer, ShapeError, _fan_in_uniform
-
-
-def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
@@ -29,7 +24,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"Q and K feature dims differ: {q.shape} vs {k.shape}")
     scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d_k)
-    return _row_softmax(scores)
+    return softmax(scores)
 
 
 class MultiHeadSelfAttention(Layer):
@@ -69,7 +64,7 @@ class MultiHeadSelfAttention(Layer):
         q = self._split_heads(x @ self.params["Wq"] + self.params["bq"])
         k = self._split_heads(x @ self.params["Wk"] + self.params["bk"])
         v = self._split_heads(x @ self.params["Wv"] + self.params["bv"])
-        a = _row_softmax(q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_k))
+        a = softmax(q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_k))
         ctx = a @ v
         merged = self._merge_heads(ctx)
         self._q, self._k, self._v, self._a, self._merged = q, k, v, a, merged

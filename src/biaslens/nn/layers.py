@@ -90,15 +90,6 @@ class GELU(Layer):
         return dy * (cdf + x * pdf)
 
 
-class Flatten(Layer):
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy.reshape(self._shape)
-
-
 class Dropout(Layer):
     """Inverted dropout; identity (and rng-silent) when evaluating."""
 

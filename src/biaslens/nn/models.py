@@ -16,7 +16,6 @@ from .layers import (
     Conv2D,
     Dense,
     Dropout,
-    Flatten,
     GELU,
     Layer,
     LayerNorm,
@@ -72,10 +71,7 @@ class SpatialBoxHead(Layer):
                 f"box head expects cells (N, {k}, {self.feat_dim}), got {cells.shape}"
             )
         self._cells = cells
-        s = cells @ self.params["score_w"] + self.params["score_b"]
-        s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        self._alpha = e / e.sum(axis=1, keepdims=True)  # (N, K)
+        self._alpha = softmax(cells @ self.params["score_w"] + self.params["score_b"])  # (N, K)
         center = self._alpha @ self._centers
         self._pooled = np.einsum("nk,nkc->nc", self._alpha, cells)
         self._size = _sigmoid(self._pooled @ self.params["size_W"] + self.params["size_b"])
@@ -200,7 +196,6 @@ class TinyCNN(_ModelBase):
             self._conv2,
             ReLU(),
             MaxPool2D(2),
-            Flatten(),
         ]
         self._tap_index = {"conv1": 1, "conv2": 4}  # post-ReLU positions
         self._cls = Dense(feat_dim, n_classes, rng)
@@ -225,28 +220,25 @@ class TinyCNN(_ModelBase):
         for layer in self._trunk:
             h = layer.forward(h, train)
             outs.append(h)
-        logits = self._cls.forward(h)
+        n, c = h.shape[:2]  # h: (N, C, gh, gw)
+        self._fmap_shape = h.shape
+        logits = self._cls.forward(h.reshape(n, -1))
         box = None
         if self._box is not None:
-            fmap = outs[-2]  # (N, C, gh, gw) just before Flatten
-            n, c = fmap.shape[:2]
-            self._fmap_shape = fmap.shape
-            cells = fmap.reshape(n, c, -1).transpose(0, 2, 1)
-            box = self._box.forward(cells)
+            box = self._box.forward(h.reshape(n, c, -1).transpose(0, 2, 1))
         trunk = [(name, outs[i]) for name, i in self._tap_index.items()]
         return ForwardResult(logits, softmax(logits), box, trunk, None)
 
     def backward(
         self, grad_logits: np.ndarray, grad_box: np.ndarray | None = None
     ) -> np.ndarray:
-        g = self._cls.backward(grad_logits)
-        g = self._trunk[-1].backward(g)  # undo Flatten
+        g = self._cls.backward(grad_logits).reshape(self._fmap_shape)
         if grad_box is not None:
             if self._box is None:
                 raise ShapeError("model has no box head")
             g_cells = self._box.backward(grad_box)
             g = g + g_cells.transpose(0, 2, 1).reshape(self._fmap_shape)
-        for layer in reversed(self._trunk[:-1]):
+        for layer in reversed(self._trunk):
             g = layer.backward(g)
         return g
 

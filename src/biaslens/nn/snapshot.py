@@ -4,6 +4,7 @@ config, parameter table) followed by a little-endian float64 blob."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,26 +58,39 @@ class ModelSnapshot:
 
 def load_snapshot(path: str | Path) -> ModelSnapshot:
     path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise SnapshotError(f"{path}: not a model snapshot (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise SnapshotError(f"{path}: truncated blob at parameter {entry['name']!r}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise SnapshotError(f"{path}: trailing bytes after parameter blob")
-    return ModelSnapshot(
-        arch=header["arch"], seed=header["seed"], config=header["config"], params=params
-    )
+    data = path.read_bytes()
+    magic = data[: len(MAGIC)]
+    if magic != MAGIC:
+        raise SnapshotError(f"{path}: not a model snapshot (bad magic {magic!r})")
+    pos = len(MAGIC) + 8
+    header_len = int.from_bytes(data[len(MAGIC) : pos], "little")
+    if len(data) < pos + header_len:
+        raise SnapshotError(f"{path}: truncated header")
+    try:
+        header = json.loads(data[pos : pos + header_len].decode("utf-8"))
+        arch, seed, config = header["arch"], header["seed"], header["config"]
+        table = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        if not (isinstance(arch, dict) and isinstance(seed, int) and isinstance(config, dict)):
+            raise TypeError("arch and config must be objects, seed an integer")
+        for name, shape in table:
+            if not (isinstance(name, str) and all(isinstance(d, int) and d >= 0 for d in shape)):
+                raise TypeError(f"parameter {name!r} needs a name and a non-negative shape")
+    except (ValueError, RecursionError, TypeError, KeyError) as exc:
+        raise SnapshotError(f"{path}: malformed header: {exc!r}") from None
+    pos += header_len
+    params: dict[str, np.ndarray] = {}
+    for name, shape in table:
+        end = pos + 8 * math.prod(shape)
+        if len(data) < end:
+            raise SnapshotError(f"{path}: truncated blob at parameter {name!r}")
+        try:
+            params[name] = np.frombuffer(data[pos:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+            raise SnapshotError(f"{path}: parameter {name!r}: {exc}") from None
+        pos = end
+    if pos != len(data):
+        raise SnapshotError(f"{path}: trailing bytes after parameter blob")
+    return ModelSnapshot(arch=arch, seed=seed, config=config, params=params)
 
 
 def model_from_snapshot(snapshot: ModelSnapshot):

@@ -182,26 +182,68 @@ def stratified_split(
     return tuple(np.array(sorted(p), dtype=np.int64) for p in parts)  # type: ignore[return-value]
 
 
+@dataclass
+class _Pass:
+    """One inference pass over a dataset, one row per sample."""
+
+    probs: np.ndarray
+    boxes: np.ndarray | None
+    unit_means: dict[str, np.ndarray]  # tap -> (N, units)
+    attention: tuple[np.ndarray, ...] | None  # per layer: (N, heads, P, P)
+
+
+def _unit_means(act: np.ndarray) -> np.ndarray:
+    if act.ndim == 4:  # (N, C, H, W) conv channels: spatial mean
+        return act.mean(axis=(2, 3))
+    if act.ndim == 3:  # (N, P, d) token embeddings: patch mean
+        return act.mean(axis=1)
+    return act
+
+
+def _forward_pass(model, images: np.ndarray, batch_size: int = 256) -> _Pass:
+    """The batched inference loop every reader of a dataset shares.
+
+    Fills preallocated arrays with probabilities, boxes (when the model
+    has a head), per-tap unit means and per-layer attention (when the
+    model has attention). A row does not depend on the other rows of its
+    batch, except in the last bits of a BLAS product whose kernel depends
+    on the number of rows (the box head's, for one).
+    """
+    n = images.shape[0]
+    arrays: dict[tuple, np.ndarray] = {}
+    for start in range(0, n, batch_size):
+        res = model.forward(images[start : start + batch_size], train=False)
+        parts = [(("probs",), res.probs)]
+        if res.box is not None:
+            parts.append((("boxes",), res.box))
+        parts += [(("unit", tap), _unit_means(act)) for tap, act in res.trunk]
+        parts += [(("attention", i), a) for i, a in enumerate(res.attention or ())]
+        for key, value in parts:
+            if key not in arrays:
+                arrays[key] = np.empty((n, *value.shape[1:]))
+            arrays[key][start : start + value.shape[0]] = value
+    return _Pass(
+        probs=arrays[("probs",)],
+        boxes=arrays.get(("boxes",)),
+        unit_means={k[1]: v for k, v in arrays.items() if k[0] == "unit"},
+        attention=tuple(v for k, v in arrays.items() if k[0] == "attention") or None,
+    )
+
+
 def evaluate(model, dataset: ArrayDataset, batch_size: int = 256) -> dict:
     """Deterministic eval pass: probabilities, argmax predictions,
     per-class recall, and predicted boxes when the model has a head."""
-    probs, boxes = [], []
-    for start in range(0, len(dataset), batch_size):
-        res = model.forward(dataset.images[start : start + batch_size], train=False)
-        probs.append(res.probs)
-        if res.box is not None:
-            boxes.append(res.box)
-    all_probs = np.concatenate(probs, axis=0)
-    preds = all_probs.argmax(axis=1)
+    out = _forward_pass(model, dataset.images, batch_size)
+    preds = out.probs.argmax(axis=1)
     recalls: dict[str, float] = {}
     for k, name in enumerate(dataset.class_order):
         mask = dataset.labels == k
         recalls[name] = float((preds[mask] == k).mean()) if mask.any() else float("nan")
     return {
-        "probs": all_probs,
+        "probs": out.probs,
         "preds": preds,
         "recalls": recalls,
-        "boxes": np.concatenate(boxes, axis=0) if boxes else None,
+        "boxes": out.boxes,
         "accuracy": float((preds == dataset.labels).mean()),
     }
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biaslens.audit as audit_mod
 import biaslens.behavior as behavior_mod
 from biaslens.audit import (
     AuditError,
@@ -21,6 +22,7 @@ from biaslens.audit import (
     canonical_json,
     correlate_errors,
     decode_center_box,
+    evaluate_side,
     recalibrate,
     recalibration_loop,
     run_audit,
@@ -28,6 +30,7 @@ from biaslens.audit import (
 )
 from biaslens.losses import ClassWeights
 from biaslens.manifest import Condition
+from biaslens.nn.models import build_model
 from biaslens.nn.train import TrainConfig
 from biaslens.synthetic import SyntheticConfig, generate_synthetic
 
@@ -215,6 +218,26 @@ class TestRunAudit:
         assert "seed 0" in text
         assert "pre-mitigation" in text
         assert "correlation" in text
+
+
+class TestEvaluateSide:
+    def test_forwards_the_test_split_once_and_the_probe_once(self, monkeypatch):
+        monkeypatch.setattr(audit_mod, "sensitivity_score", lambda *args: 1.0)
+        options = small_options()
+        test = small_data(n=60)
+        model = build_model({"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}, seed=0)
+        batches = []
+        forward = model.forward
+
+        def counting(x, train=False):
+            batches.append(len(x))
+            return forward(x, train)
+
+        model.forward = counting
+        side = evaluate_side(model, test, options)
+        probe = 3 * options.probe_per_class
+        assert batches == [60, probe]
+        assert set(side["per_class"]) == {"disk", "bar", "cross"}
 
 
 class TestRunMitigation:

@@ -12,11 +12,13 @@ from biaslens.augment import (
     CONDITION_OPS,
     AugmentKind,
     AugmentOp,
+    AugmentRequest,
     SampleRelevanceStat,
     apply_augment,
     attention_guided_augment_plan,
     inverse_op,
     lrp_informed_sample_plan,
+    materialize_plan,
     transform_bbox,
     transform_image,
 )
@@ -243,6 +245,29 @@ class TestAttentionGuidedPlan:
         for condition, op in CONDITION_OPS.items():
             _, size = transform_bbox(op, (1.0, 1.0, 3.0, 3.0), (32, 32))
             assert size == (32, 32), condition
+
+
+class TestMaterializePlan:
+    def test_round_robin_over_the_cell_with_fresh_ids(self, rng):
+        records = [
+            make_record(sample_id="a", condition=Condition.NIGHT),
+            make_record(sample_id="b", condition=Condition.NORMAL),
+            make_record(sample_id="c", condition=Condition.NIGHT, image_ref="c.pgm"),
+        ]
+        images = rng.random((3, 1, 32, 32))
+        op = CONDITION_OPS[Condition.NIGHT]
+        plan = [
+            AugmentRequest("disk", Condition.NIGHT, op, 3),
+            AugmentRequest("bar", Condition.NIGHT, op, 2),  # empty cell: skipped
+        ]
+        new_records, new_images = materialize_plan(plan, records, images)
+        assert [r.sample_id for r in new_records] == ["a-aug0", "c-aug1", "a-aug2"]
+        assert all(r.image_ref is None for r in new_records)
+        for image, src in zip(new_images, (0, 2, 0)):
+            npt.assert_array_equal(image, transform_image(op, images[src, 0]))
+
+    def test_empty_plan_adds_nothing(self, rng):
+        assert materialize_plan([], [make_record()], rng.random((1, 1, 32, 32))) == ([], [])
 
 
 class TestRelevanceInformedPlan:

@@ -20,7 +20,6 @@ from biaslens.behavior import (
     BehaviorTracker,
     RelevanceMap,
     UnsupportedArchitectureError,
-    attention_mass_on_gt,
     balanced_probe,
     export_heatmap,
     extract_attention,
@@ -38,7 +37,7 @@ from biaslens.behavior import (
 from biaslens.manifest import Condition
 from biaslens.nn.models import ForwardResult, TinyCNN, TinyViT
 from biaslens.nn.snapshot import ModelSnapshot
-from biaslens.nn.train import ArrayDataset, TrainConfig, train
+from biaslens.nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, train
 
 from conftest import make_record
 
@@ -181,22 +180,69 @@ class TestUnitActivations:
     def test_batch_size_never_changes_results(self, rng):
         model = tiny_vit()
         images = rng.random((5, 1, 32, 32))
-        full = unit_activation_matrix(model, images, "block0", batch_size=256)
-        split = unit_activation_matrix(model, images, "block0", batch_size=2)
-        npt.assert_array_equal(full, split)
-        assert full.shape == (5, 8)
+        full = unit_activation_matrix(model, images, batch_size=256)
+        split = unit_activation_matrix(model, images, batch_size=2)
+        assert list(full) == list(split) == ["block0", "block1"]
+        for tap in full:
+            npt.assert_array_equal(full[tap], split[tap])
+        assert full["block0"].shape == (5, 8)
 
     def test_class_means_require_every_class(self):
         data = vit_dataset(n=4)
         only_disk = data.subset(np.flatnonzero(data.labels == 0))
         with pytest.raises(BehaviorError, match="bar"):
-            unit_class_activations(tiny_vit(), only_disk, "block0")
+            unit_class_activations(tiny_vit(), only_disk)
 
     def test_class_means_shape(self):
         data = vit_dataset(n=6)
-        out = unit_class_activations(tiny_vit(), data, "block1")
+        out = unit_class_activations(tiny_vit(), data)["block1"]
         assert set(out) == set(range(8))
         assert set(out[0]) == {"disk", "bar"}
+
+
+class TestSinglePass:
+    """Every reader of a dataset reads one batched pass; the batch size
+    changes no bit of the probabilities, unit means or attention."""
+
+    def test_pass_is_bit_identical_at_batch_2_and_256(self):
+        model = tiny_vit(box_head=True)
+        data = vit_dataset(n=5)
+        small = _forward_pass(model, data.images, batch_size=2)
+        large = _forward_pass(model, data.images, batch_size=256)
+        npt.assert_array_equal(small.probs, large.probs)
+        summary = extract_attention(model, data)
+        for a, b, c in zip(small.attention, large.attention, summary.per_layer, strict=True):
+            npt.assert_array_equal(a, b)
+            npt.assert_array_equal(a, c)
+        # The box head's (N, 16) @ (16, 2) product runs a BLAS kernel that
+        # depends on N, so boxes agree to the last bits only.
+        npt.assert_allclose(small.boxes, large.boxes, rtol=0, atol=1e-15)
+
+    def test_evaluate_is_bit_identical_at_batch_2_and_256(self):
+        model = tiny_vit(box_head=True)
+        data = vit_dataset(n=5)
+        small, large = evaluate(model, data, batch_size=2), evaluate(model, data)
+        npt.assert_array_equal(small["probs"], large["probs"])
+        npt.assert_allclose(small["boxes"], large["boxes"], rtol=0, atol=1e-15)
+        assert small["recalls"] == large["recalls"]
+
+    def test_observe_forwards_the_probe_once_per_epoch(self):
+        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+        assert len(model.trunk_taps) == 2
+        probe = vit_dataset(n=6, hw=(8, 8))
+        batches = []
+        forward = model.forward
+
+        def counting(x, train=False):
+            batches.append(len(x))
+            return forward(x, train)
+
+        model.forward = counting
+        tracker = BehaviorTracker(probe)
+        for epoch in range(3):
+            tracker.observe(model, epoch)
+        assert batches == [6, 6, 6]
+        assert {r.layer for r in tracker.scores.records} == {"conv1", "conv2"}
 
 
 class TestRelevancePropagation:
@@ -333,7 +379,7 @@ class TestAttentionExtraction:
         model = uniform_attention_vit()
         summary = extract_attention(model, vit_dataset(n=2))
         record = make_record(sample_id="s0", bbox=(0, 0, 5, 21), image_size=(32, 32))
-        npt.assert_allclose(attention_mass_on_gt(summary, record), 3 / 16.0, atol=1e-12)
+        npt.assert_allclose(summary.mass_on_gt(record), 3 / 16.0, atol=1e-12)
         whole = make_record(sample_id="s0", bbox=(0, 0, 32, 32), image_size=(32, 32))
         npt.assert_allclose(summary.mass_on_gt(whole), 1.0, atol=1e-12)
         half = make_record(sample_id="s1", bbox=(0, 0, 32, 13), image_size=(32, 32))

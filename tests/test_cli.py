@@ -4,6 +4,7 @@ resolution precedence, artifact layout, and reproducibility."""
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from biaslens.audit import canonical_json
 from biaslens.cli import CLIError, main, resolve_config
 from biaslens.manifest import write_manifest
+from biaslens.nn.snapshot import MAGIC
 from biaslens.synthetic import (
     SyntheticConfig,
     generate_synthetic,
@@ -114,6 +116,48 @@ class TestExitCodes:
         code = main(["audit", *FAST_AUDIT, "--out", str(tmp_path)])
         assert code == 1
         assert "must be an integer" in capsys.readouterr().err
+
+
+class TestMalformedInputExitsOne:
+    """Each malformed input fails with exit code 1 and names its file."""
+
+    def _analyze(self, tmp_path, lines: list[str]):
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path, main(["analyze", "--manifest", str(path), "--out", str(tmp_path / "o")])
+
+    def test_manifest_line_that_is_not_an_object(self, tmp_path, capsys):
+        path, code = self._analyze(tmp_path, ["[1,2]"])
+        assert code == 1
+        assert f"{path}:1: expected a JSON object" in capsys.readouterr().err
+
+    def test_non_numeric_bbox_names_file_and_line(self, tmp_path, capsys):
+        record = {
+            "sample_id": "s0", "class_label": "disk", "bbox": [0, 0, 4, 4],
+            "condition": "Normal", "image_size": [8, 8],
+        }
+        bad = dict(record, sample_id="s1", bbox=["left", 0, 4, 4])
+        path, code = self._analyze(tmp_path, [json.dumps(record), json.dumps(bad)])
+        assert code == 1
+        assert f"{path}:2: bbox and image_size must be lists of numbers" in capsys.readouterr().err
+
+    def _heatmap(self, tmp_path, data: bytes):
+        path = tmp_path / "m.snapshot"
+        path.write_bytes(data)
+        return path, main([
+            "heatmap", "--snapshot", str(path), "--synthetic", "balanced",
+            "--n-samples", "6", "--image-size", "16", "--out", str(tmp_path / "o"),
+        ])
+
+    def test_snapshot_holding_only_the_magic(self, tmp_path, capsys):
+        path, code = self._heatmap(tmp_path, MAGIC)
+        assert code == 1
+        assert f"{path}: truncated header" in capsys.readouterr().err
+
+    def test_snapshot_header_that_is_not_an_object(self, tmp_path, capsys):
+        path, code = self._heatmap(tmp_path, MAGIC + struct.pack("<Q", 2) + b"[]")
+        assert code == 1
+        assert f"{path}: malformed header" in capsys.readouterr().err
 
 
 class TestConfigResolution:

@@ -105,6 +105,68 @@ class TestLoadManifest:
         assert "disk" in manifest.taxonomy  # observed labels always union in
 
 
+# Any JSON value, and objects shaped like a record whose fields hold any JSON value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=12,
+)
+RECORD_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        key: JSON_VALUES | value
+        for key, value in {
+            "sample_id": st.just("s0"),
+            "class_label": st.just("disk"),
+            "bbox": st.lists(st.floats() | st.integers() | st.text(max_size=3), max_size=5),
+            "condition": st.sampled_from([c.value for c in Condition]),
+            "image_size": st.lists(st.floats() | st.integers(), max_size=3),
+            "image_ref": st.just("a.pgm"),
+            "taxonomy": st.lists(st.text(max_size=3), max_size=3),
+            "seed": st.integers() | st.floats(),
+        }.items()
+    },
+)
+
+
+def _load_or_manifest_error(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_manifest(path), DatasetManifest)
+    except ManifestError as exc:
+        assert str(path) in str(exc)
+
+
+class TestLoadManifestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_any_bytes_load_or_raise_manifest_error(self, tmp_path_factory, data):
+        _load_or_manifest_error(tmp_path_factory.getbasetemp() / "fuzz.jsonl", data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(JSON_VALUES | RECORD_LIKE, min_size=1, max_size=3))
+    def test_any_json_lines_load_or_raise_manifest_error(self, tmp_path_factory, values):
+        lines = "".join(json.dumps(v) + "\n" for v in values).encode("utf-8")
+        _load_or_manifest_error(tmp_path_factory.getbasetemp() / "fuzz.jsonl", lines)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", ":1: expected a JSON object, got list"),
+            ('{"sample_id": "s0", "class_label": "disk", "bbox": ["a", 0, 4, 4], '
+             '"condition": "Normal", "image_size": [8, 8]}', ":1: bbox and image_size"),
+            ('{"taxonomy": 3}', ":1: header taxonomy"),
+            ("\udcff", ":1: malformed JSON"),
+        ],
+    )
+    def test_typed_error_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(line.encode("utf-8", "surrogateescape") + b"\n")
+        with pytest.raises(ManifestError, match=message) as info:
+            load_manifest(path)
+        assert str(info.value).startswith(f"{path}:1:")
+
+
 class TestComputeDistribution:
     def test_single_class_is_100_percent(self):
         dist = compute_distribution(make_manifest({"a": 1}))

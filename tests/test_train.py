@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 
 from biaslens.nn.models import TinyCNN, build_model
 from biaslens.nn.optim import Adam, ConstantLR, LinearDecayLR, StepDecayLR, schedule_from_config
-from biaslens.nn.snapshot import ModelSnapshot, SnapshotError, load_snapshot, model_from_snapshot
+from biaslens.nn.snapshot import (
+    MAGIC,
+    ModelSnapshot,
+    SnapshotError,
+    load_snapshot,
+    model_from_snapshot,
+)
 from biaslens.nn.train import (
     ArrayDataset,
     MetricTrace,
@@ -21,6 +29,13 @@ from biaslens.nn.train import (
     evaluate,
     stratified_split,
     train,
+)
+
+
+SNAPSHOT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
 )
 
 
@@ -404,6 +419,64 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SnapshotError, match="trailing"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"", "truncated header"),
+            (b"\x02\x00\x00", "truncated header"),
+            (struct.pack("<Q", 2) + b"[]", "malformed header"),
+            (struct.pack("<Q", 4) + b"\xff\xfe{}", "malformed header"),
+            (struct.pack("<Q", 2**63) + b"{}", "truncated header"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, tail, message):
+        path = tmp_path / "m.snapshot"
+        path.write_bytes(MAGIC + tail)
+        with pytest.raises(SnapshotError, match=message):
+            load_snapshot(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.builds(
+            lambda header, blob: struct.pack("<Q", len(header)) + header + blob,
+            st.builds(
+                lambda obj: json.dumps(obj).encode("utf-8"),
+                st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "arch": st.just({}) | SNAPSHOT_JSON,
+                        "seed": st.integers() | SNAPSHOT_JSON,
+                        "config": st.just({}) | SNAPSHOT_JSON,
+                        "params": st.lists(
+                            st.fixed_dictionaries(
+                                {},
+                                optional={
+                                    "name": st.text(max_size=3) | SNAPSHOT_JSON,
+                                    "shape": st.lists(st.integers(-2, 3), max_size=3)
+                                    | st.lists(st.integers(), max_size=3)
+                                    | SNAPSHOT_JSON,
+                                },
+                            )
+                            | SNAPSHOT_JSON,
+                            max_size=3,
+                        )
+                        | SNAPSHOT_JSON,
+                    },
+                )
+                | SNAPSHOT_JSON,
+            ),
+            st.binary(max_size=80),
+        )
+    )
+    def test_any_bytes_after_magic_load_or_raise_snapshot_error(self, tmp_path_factory, tail):
+        path = tmp_path_factory.getbasetemp() / "fuzz.snapshot"
+        path.write_bytes(MAGIC + tail)
+        try:
+            assert isinstance(load_snapshot(path), ModelSnapshot)
+        except SnapshotError as exc:
+            assert str(path) in str(exc)
 
     def test_restore_into_incompatible_model_rejected(self):
         snapshot = ModelSnapshot.from_model(small_model())
