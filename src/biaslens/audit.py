@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .augment import (
     DEFAULT_KAPPA,
@@ -20,8 +19,8 @@ from .augment import (
     DEFAULT_TAU_REL,
     AugmentRequest,
     SampleRelevanceStat,
+    _rank_off_box,
     attention_guided_augment_plan,
-    lrp_informed_sample_plan,
     materialize_plan,
 )
 from .behavior import (
@@ -51,8 +50,8 @@ from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
 from .nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, stratified_split, train
-from .sampling import ResamplePlan, combined_resample
-from .synthetic import SyntheticData, normalize_box_to_center_form
+from .sampling import ResamplePlan, _combined_rows
+from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
 
@@ -319,12 +318,13 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
             "selectivity": selectivity[c],
         }
 
+    records = test.manifest.records
     by_condition: dict[str, dict] = {}
-    for cond in sorted({c.value for c in test.conditions}):
-        idx = np.array([i for i, c in enumerate(test.conditions) if c.value == cond])
-        sub = test.subset(idx)
-        sub_dets = [detections[i] for i in idx]
-        sub_match = match_detections(sub_dets, sub.manifest.records, options.iou_threshold)
+    for cond in sorted({r.condition.value for r in records}):
+        idx = [i for i, r in enumerate(records) if r.condition.value == cond]
+        sub_match = match_detections(
+            [detections[i] for i in idx], [records[i] for i in idx], options.iou_threshold
+        )
         sub_ap = per_class_ap(sub_match)
         row: dict = {c: sub_ap.get(c) for c in class_order}
         row["total"] = mean_ap(sub_ap) if sub_ap else None
@@ -345,6 +345,13 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
 # correlation
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
 def correlate_errors(
     fn_rates: Mapping[str, float], selectivity: Mapping[str, float]
 ) -> dict:
@@ -357,7 +364,8 @@ def correlate_errors(
     y = [selectivity[c] for c in classes]
     if len(set(x)) == 1 or len(set(y)) == 1:
         return {"coefficient": None, "undefined": True, "classes": classes}
-    rho = float(spearmanr(x, y).statistic)
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return {"coefficient": rho, "undefined": False, "classes": classes}
 
 
@@ -448,39 +456,25 @@ def run_audit(
     return run
 
 
-def _indices_by_id(data: SyntheticData) -> dict[str, int]:
-    ids = data.dataset.sample_ids
-    if ids is None:
-        raise AuditError("dataset lacks sample ids; cannot re-index")
-    return {sid: i for i, sid in enumerate(ids)}
-
-
 def _resample_training(
     train_d: SyntheticData, seed: int
 ) -> tuple[SyntheticData, ResamplePlan]:
-    """Median-equalize the training manifest and mirror it in the tensors."""
-    balanced_manifest, plan = combined_resample(train_d.manifest, seed=seed)
-    index = _indices_by_id(train_d)
-    order = np.array([index[r.sample_id] for r in balanced_manifest.records], dtype=np.int64)
-    resampled = SyntheticData(
-        manifest=balanced_manifest,
-        dataset=train_d.dataset.subset(order),
-        conditions=tuple(train_d.conditions[i] for i in order),
-    )
-    return resampled, plan
+    """Median-equalize the training split, records and rows together."""
+    rows, plan = _combined_rows(train_d.manifest, seed=seed)
+    return train_d.subset(rows), plan
 
 
-def _lrp_informed_ids(model, train_d: SyntheticData, inference, tau_rel: float) -> list[str]:
-    """Misclassified training samples whose relevance misses the box, read
-    from an inference pass over the training split with attention."""
+def _lrp_informed_rows(model, train_d: SyntheticData, inference, tau_rel: float) -> list[int]:
+    """Rows of misclassified training samples whose relevance misses the
+    box, read from an inference pass over the training split with attention."""
     preds = inference.probs.argmax(axis=1)
-    stats, missed = [], []
+    rows, stats = [], []
     for i, record in enumerate(train_d.manifest.records):
         true_k = int(train_d.dataset.labels[i])
         if int(preds[i]) == true_k:
             continue
-        missed.append(record.sample_id)
         rmap = lrp_propagate(inference.attention, int(preds[i]), sample=i, grid=model.grid)
+        rows.append(i)
         stats.append(
             SampleRelevanceStat(
                 sample_id=record.sample_id,
@@ -488,7 +482,7 @@ def _lrp_informed_ids(model, train_d: SyntheticData, inference, tau_rel: float) 
                 loss=float(-np.log(max(inference.probs[i, true_k], 1e-12))),
             )
         )
-    return lrp_informed_sample_plan(stats, missed, tau_rel)
+    return [rows[j] for j in _rank_off_box(stats, tau_rel)]
 
 
 def _augment_training(
@@ -504,51 +498,34 @@ def _augment_training(
         )
     options = run.options
     ds = train_d.dataset
+    records = train_d.manifest.records
     inference = _forward_pass(model, ds.images)
     summary = _summarize_attention(
         model, ds, inference.attention, conditions=[c.value for c in train_d.conditions]
     )
-    masses = mass_by_cell(summary, train_d.manifest.records)
+    masses = mass_by_cell(summary, records)
     plan = attention_guided_augment_plan(
         masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa
     )
-    new_records, new_images = materialize_plan(plan, train_d.manifest.records, ds.images)
+    new_records, new_images = materialize_plan(plan, records, ds.images)
 
-    dup_ids = _lrp_informed_ids(model, train_d, inference, options.tau_rel)
-    index = _indices_by_id(train_d)
-    for n, sid in enumerate(dup_ids):
-        src = index[sid]
+    dup_rows = _lrp_informed_rows(model, train_d, inference, options.tau_rel)
+    for n, i in enumerate(dup_rows):
         new_records.append(
-            replace(train_d.manifest.records[src], sample_id=f"{sid}-rel{n}", image_ref=None)
+            replace(records[i], sample_id=f"{records[i].sample_id}-rel{n}", image_ref=None)
         )
-        new_images.append(ds.images[src, 0])
+        new_images.append(ds.images[i, 0])
 
-    class_index = {c: k for k, c in enumerate(ds.class_order)}
-    records = (*train_d.manifest.records, *new_records)
-    augmented = SyntheticData(
-        manifest=DatasetManifest(
-            records=records, taxonomy=train_d.manifest.taxonomy, seed=train_d.manifest.seed
+    augmented = SyntheticData.from_records(
+        DatasetManifest(
+            records=(*records, *new_records),
+            taxonomy=train_d.manifest.taxonomy,
+            seed=train_d.manifest.seed,
         ),
-        dataset=ArrayDataset(
-            images=np.concatenate(
-                [ds.images, np.reshape(new_images, (-1, *ds.images.shape[1:]))]
-            ),
-            labels=np.concatenate([ds.labels, [class_index[r.class_label] for r in new_records]]),
-            class_order=ds.class_order,
-            boxes=np.concatenate(
-                [
-                    ds.boxes,
-                    np.reshape(
-                        [normalize_box_to_center_form(r.bbox, r.image_size) for r in new_records],
-                        (-1, 4),
-                    ),
-                ]
-            ),
-            sample_ids=tuple(r.sample_id for r in records),
-        ),
-        conditions=tuple(r.condition for r in records),
+        np.concatenate([ds.images, np.reshape(new_images, (-1, *ds.images.shape[1:]))]),
+        ds.class_order,
     )
-    return augmented, plan, dup_ids
+    return augmented, plan, [records[i].sample_id for i in dup_rows]
 
 
 def run_mitigation(

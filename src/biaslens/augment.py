@@ -145,16 +145,8 @@ def apply_augment(
     appending augmented samples to a manifest assign fresh ids.
     """
     bbox, size = transform_bbox(op, record.bbox, record.image_size)
-    new_record = AnnotationRecord(
-        sample_id=record.sample_id,
-        class_label=record.class_label,
-        bbox=bbox,
-        condition=record.condition,
-        image_size=size,
-        image_ref=record.image_ref,
-    )
     new_image = transform_image(op, image) if image is not None else None
-    return new_record, new_image
+    return replace(record, bbox=bbox, image_size=size), new_image
 
 
 # Fixed deficit->op table: what to emphasize per underattended condition.
@@ -252,6 +244,13 @@ class SampleRelevanceStat:
     loss: float
 
 
+def _rank_off_box(stats: Sequence[SampleRelevanceStat], tau_rel: float) -> list[int]:
+    """Positions in ``stats`` whose in-box relevance fraction is below
+    tau_rel, by descending loss; ties keep position order."""
+    keep = [i for i, s in enumerate(stats) if s.in_box_fraction < tau_rel]
+    return sorted(keep, key=lambda i: -stats[i].loss)
+
+
 def lrp_informed_sample_plan(
     relevance_stats: Iterable[SampleRelevanceStat],
     misclassified: Sequence[str],
@@ -263,10 +262,5 @@ def lrp_informed_sample_plan(
     sorted by descending loss (ties broken by id for determinism).
     """
     wanted = set(misclassified)
-    qualifying = [
-        s
-        for s in relevance_stats
-        if s.sample_id in wanted and s.in_box_fraction < tau_rel
-    ]
-    qualifying.sort(key=lambda s: (-s.loss, s.sample_id))
-    return [s.sample_id for s in qualifying]
+    stats = sorted((s for s in relevance_stats if s.sample_id in wanted), key=lambda s: s.sample_id)
+    return [stats[i].sample_id for i in _rank_off_box(stats, tau_rel)]

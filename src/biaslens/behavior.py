@@ -265,17 +265,22 @@ class AttentionSummary:
 
     def mass_on_gt(self, record: AnnotationRecord) -> float:
         """Fraction of final-layer mean-query attention mass on patches
-        whose centers lie inside the record's box."""
+        whose centers lie inside the record's box; the record's sample id
+        names the summary row (its first occurrence)."""
+        try:
+            row = self.sample_ids.index(record.sample_id)
+        except ValueError:
+            raise BehaviorError(f"sample {record.sample_id!r} not in attention summary") from None
+        return self._mass_in_box(row, record)
+
+    def _mass_in_box(self, row: int, record: AnnotationRecord) -> float:
         if tuple(record.image_size) != tuple(self.image_hw[::-1]):
             raise BehaviorError(
                 f"record frame {record.image_size} does not match summary "
                 f"image {self.image_hw[::-1]}"
             )
-        try:
-            row = self.patch_mass[self.sample_ids.index(record.sample_id)]
-        except ValueError:
-            raise BehaviorError(f"sample {record.sample_id!r} not in attention summary") from None
-        return float(row[patch_centers_in_box(self.grid, self.patch, record.bbox)].sum())
+        mask = patch_centers_in_box(self.grid, self.patch, record.bbox)
+        return float(self.patch_mass[row][mask].sum())
 
 
 def patch_centers_in_box(
@@ -355,11 +360,17 @@ def mass_by_cell(
     summary: AttentionSummary, records: Iterable[AnnotationRecord]
 ) -> dict[tuple[str, object], float]:
     """Mean attention-on-ground-truth per (class_label, condition) cell,
-    in the shape the augmentation planner consumes."""
+    in the shape the augmentation planner consumes. Record i is the
+    summary's sample i."""
+    records = tuple(records)
+    if len(records) != len(summary.patch_mass):
+        raise BehaviorError(
+            f"{len(records)} records for {len(summary.patch_mass)} summarized samples"
+        )
     sums: dict[tuple[str, object], list[float]] = {}
-    for record in records:
+    for row, record in enumerate(records):
         key = (record.class_label, record.condition)
-        sums.setdefault(key, []).append(summary.mass_on_gt(record))
+        sums.setdefault(key, []).append(summary._mass_in_box(row, record))
     return {k: sum(v) / len(v) for k, v in sums.items()}
 
 

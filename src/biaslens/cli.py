@@ -557,16 +557,25 @@ def cmd_resample(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_model(cfg: RunConfig):
+    """The model stored in the ``--snapshot`` file."""
+    path = Path(cfg.values["snapshot"])
+    if not path.exists():
+        raise CLIError(f"snapshot file not found: {path}")
+    snapshot = load_snapshot(path)
+    try:
+        return model_from_snapshot(snapshot)
+    except ValueError as exc:
+        raise CLIError(f"{path}: {exc}") from None
+
+
 def cmd_augment(cfg: RunConfig) -> int:
     manifest_path = Path(cfg.values["manifest"])
     if not manifest_path.exists():
         raise CLIError(f"manifest file not found: {manifest_path}")
-    snapshot_path = Path(cfg.values["snapshot"])
-    if not snapshot_path.exists():
-        raise CLIError(f"snapshot file not found: {snapshot_path}")
+    model = _load_model(cfg)
     manifest = load_manifest(manifest_path)
     data = dataset_from_manifest(manifest, cfg.values["images_root"])
-    model = model_from_snapshot(load_snapshot(snapshot_path))
     summary = extract_attention(
         model, data.dataset, conditions=[c.value for c in data.conditions]
     )
@@ -740,10 +749,7 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_heatmap(cfg: RunConfig) -> int:
     from .behavior import export_heatmap
 
-    snapshot_path = Path(cfg.values["snapshot"])
-    if not snapshot_path.exists():
-        raise CLIError(f"snapshot file not found: {snapshot_path}")
-    model = model_from_snapshot(load_snapshot(snapshot_path))
+    model = _load_model(cfg)
     data = _load_data(cfg)
     sample_id = cfg.values.get("sample_id")
     if sample_id is not None:
@@ -809,13 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(subcommand, explicit, out_dir)
         return COMMANDS[subcommand](cfg)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # CLIError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - contract: runtime failure -> 2

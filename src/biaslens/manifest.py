@@ -128,9 +128,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def class_records(self, class_label: str) -> tuple[AnnotationRecord, ...]:
-        return tuple(r for r in self.records if r.class_label == class_label)
-
 
 @dataclass(frozen=True)
 class ClassDistribution:

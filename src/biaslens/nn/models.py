@@ -5,6 +5,7 @@ input pixels."""
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -446,16 +447,19 @@ class _PositionEmbedding(Layer):
 
 
 def build_model(arch: Mapping[str, object], seed: int | None = None):
-    """Construct a model from an architecture description (snapshot header)."""
+    """Construct a model from an architecture description (snapshot header).
+    An unknown kind or a key its constructor does not take is a ValueError."""
     kind = arch.get("kind")
+    cls = next((c for c in (TinyCNN, TinyViT) if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r}")
     kwargs = {k: v for k, v in arch.items() if k != "kind"}
+    unknown = sorted(set(kwargs) - set(inspect.signature(cls).parameters))
+    if unknown:
+        raise ValueError(f"unknown {kind} arch keys: {unknown}")
     for key in ("input_hw", "channels"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])  # type: ignore[arg-type]
     if seed is not None:
         kwargs["seed"] = seed
-    if kind == TinyCNN.kind:
-        return TinyCNN(**kwargs)  # type: ignore[arg-type]
-    if kind == TinyViT.kind:
-        return TinyViT(**kwargs)  # type: ignore[arg-type]
-    raise ValueError(f"unknown model kind {kind!r}")
+    return cls(**kwargs)  # type: ignore[arg-type]

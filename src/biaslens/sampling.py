@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .manifest import AnnotationRecord, ClassDistribution, DatasetManifest
+from .manifest import ClassDistribution, DatasetManifest
 
 # Guard added before floor() so decimal shares (0.67, 1/3) floor to their
 # exact-rational value despite binary float noise.
@@ -52,11 +52,89 @@ class SubsetSchedule:
     steps: tuple[SubsetStep, ...] = field(default_factory=tuple)
 
 
-def _counts_by_class(manifest: DatasetManifest) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for record in manifest.records:
-        counts[record.class_label] = counts.get(record.class_label, 0) + 1
-    return counts
+def _take(manifest: DatasetManifest, rows) -> DatasetManifest:
+    """The manifest of the records at ``rows``, in that order."""
+    return DatasetManifest(
+        records=tuple(manifest.records[i] for i in rows),
+        taxonomy=manifest.taxonomy,
+        seed=manifest.seed,
+    )
+
+
+def _rows_by_class(manifest: DatasetManifest) -> dict[str, list[int]]:
+    rows: dict[str, list[int]] = {}
+    for i, record in enumerate(manifest.records):
+        rows.setdefault(record.class_label, []).append(i)
+    return rows
+
+
+def _oversample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
+    """Every row, then duplicates of minority-class rows up to the plan's
+    exact targets, drawn uniformly with replacement in sorted class order."""
+    if plan.mode is not ResampleMode.OVERSAMPLE:
+        raise ResampleError(f"plan mode is {plan.mode.value}, expected Oversample")
+    by_class = _rows_by_class(manifest)
+    for cls, target in plan.target_counts.items():
+        current = len(by_class.get(cls, ()))
+        if target < current:
+            raise ResampleError(
+                f"oversample target {target} below current count {current} "
+                f"for class {cls!r}"
+            )
+    rng = np.random.default_rng(plan.seed)
+    rows = list(range(len(manifest)))
+    for cls in sorted(plan.target_counts):
+        pool = by_class.get(cls, [])
+        n_extra = plan.target_counts[cls] - len(pool)
+        if n_extra <= 0:
+            continue
+        picks = rng.integers(0, len(pool), size=n_extra)
+        rows.extend(pool[i] for i in picks)
+    return rows
+
+
+def _undersample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
+    """Ascending rows of a uniform without-replacement subset of each class
+    at the plan's exact target; classes without a target keep every row."""
+    if plan.mode is not ResampleMode.UNDERSAMPLE:
+        raise ResampleError(f"plan mode is {plan.mode.value}, expected Undersample")
+    by_class = _rows_by_class(manifest)
+    for cls, target in plan.target_counts.items():
+        current = len(by_class.get(cls, ()))
+        if target > current:
+            raise ResampleError(
+                f"undersample target {target} above current count {current} "
+                f"for class {cls!r}"
+            )
+    rng = np.random.default_rng(plan.seed)
+    kept: list[int] = []
+    for cls in sorted(by_class):
+        rows = by_class[cls]
+        target = plan.target_counts.get(cls, len(rows))
+        if target == len(rows):
+            kept.extend(rows)
+        else:
+            kept.extend(rows[i] for i in rng.choice(len(rows), size=target, replace=False))
+    return sorted(kept)
+
+
+def _combined_rows(
+    manifest: DatasetManifest, seed: int = 0
+) -> tuple[list[int], ResamplePlan]:
+    """Rows that equalize all per-class counts at the median: undersample
+    above it, then oversample below it."""
+    counts = {c: len(rows) for c, rows in _rows_by_class(manifest).items()}
+    median = int(np.median(sorted(counts.values())))
+    under_targets = {c: min(n, median) for c, n in counts.items()}
+    over_targets = {c: median for c in counts}
+    kept = _undersample_rows(
+        manifest, ResamplePlan(under_targets, ResampleMode.UNDERSAMPLE, seed=seed)
+    )
+    picks = _oversample_rows(
+        _take(manifest, kept), ResamplePlan(over_targets, ResampleMode.OVERSAMPLE, seed=seed)
+    )
+    plan = ResamplePlan(target_counts=over_targets, mode=ResampleMode.COMBINED, seed=seed)
+    return [kept[i] for i in picks], plan
 
 
 def random_oversample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:
@@ -65,30 +143,7 @@ def random_oversample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetM
     Originals are always retained; duplicates are drawn uniformly with
     replacement, appended after the originals in sorted class order.
     """
-    if plan.mode is not ResampleMode.OVERSAMPLE:
-        raise ResampleError(f"plan mode is {plan.mode.value}, expected Oversample")
-    counts = _counts_by_class(manifest)
-    for cls, target in plan.target_counts.items():
-        current = counts.get(cls, 0)
-        if target < current:
-            raise ResampleError(
-                f"oversample target {target} below current count {current} "
-                f"for class {cls!r}"
-            )
-    rng = np.random.default_rng(plan.seed)
-    extra: list[AnnotationRecord] = []
-    for cls in sorted(plan.target_counts):
-        pool = manifest.class_records(cls)
-        n_extra = plan.target_counts[cls] - len(pool)
-        if n_extra <= 0:
-            continue
-        picks = rng.integers(0, len(pool), size=n_extra)
-        extra.extend(pool[i] for i in picks)
-    return DatasetManifest(
-        records=manifest.records + tuple(extra),
-        taxonomy=manifest.taxonomy,
-        seed=manifest.seed,
-    )
+    return _take(manifest, _oversample_rows(manifest, plan))
 
 
 def random_undersample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:
@@ -96,55 +151,15 @@ def random_undersample(manifest: DatasetManifest, plan: ResamplePlan) -> Dataset
 
     Kept records stay in the manifest's canonical order.
     """
-    if plan.mode is not ResampleMode.UNDERSAMPLE:
-        raise ResampleError(f"plan mode is {plan.mode.value}, expected Undersample")
-    counts = _counts_by_class(manifest)
-    for cls, target in plan.target_counts.items():
-        current = counts.get(cls, 0)
-        if target > current:
-            raise ResampleError(
-                f"undersample target {target} above current count {current} "
-                f"for class {cls!r}"
-            )
-    rng = np.random.default_rng(plan.seed)
-    keep_indices: set[int] = set()
-    by_class: dict[str, list[int]] = {}
-    for idx, record in enumerate(manifest.records):
-        by_class.setdefault(record.class_label, []).append(idx)
-    for cls in sorted(by_class):
-        indices = by_class[cls]
-        target = plan.target_counts.get(cls, len(indices))
-        if target == len(indices):
-            keep_indices.update(indices)
-        else:
-            chosen = rng.choice(len(indices), size=target, replace=False)
-            keep_indices.update(indices[i] for i in chosen)
-    kept = tuple(
-        record for idx, record in enumerate(manifest.records) if idx in keep_indices
-    )
-    return DatasetManifest(records=kept, taxonomy=manifest.taxonomy, seed=manifest.seed)
+    return _take(manifest, _undersample_rows(manifest, plan))
 
 
 def combined_resample(
     manifest: DatasetManifest, seed: int = 0
 ) -> tuple[DatasetManifest, ResamplePlan]:
     """Equalize all per-class counts at the median: undersample above, then oversample below."""
-    counts = _counts_by_class(manifest)
-    median = int(np.median(sorted(counts.values())))
-    under_targets = {c: min(n, median) for c, n in counts.items()}
-    over_targets = {c: median for c in counts}
-    plan = ResamplePlan(
-        target_counts=over_targets, mode=ResampleMode.COMBINED, seed=seed
-    )
-    reduced = random_undersample(
-        manifest,
-        ResamplePlan(under_targets, ResampleMode.UNDERSAMPLE, seed=seed),
-    )
-    balanced = random_oversample(
-        reduced,
-        ResamplePlan(over_targets, ResampleMode.OVERSAMPLE, seed=seed),
-    )
-    return balanced, plan
+    rows, plan = _combined_rows(manifest, seed)
+    return _take(manifest, rows), plan
 
 
 def apply_resample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:
@@ -221,7 +236,7 @@ def draw_subset(
     manifest: DatasetManifest, allocation: dict[str, int], seed: int = 0
 ) -> DatasetManifest:
     """Materialize one schedule step by undersampling to its allocation."""
-    counts = _counts_by_class(manifest)
+    counts = {c: len(rows) for c, rows in _rows_by_class(manifest).items()}
     targets = {
         c: n for c, n in allocation.items() if n <= counts.get(c, 0)
     }

@@ -5,7 +5,7 @@ and capture-condition corruptions (darkening, blur/speckle, rotation)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -16,6 +16,7 @@ from .augment import AugmentKind, AugmentOp, transform_bbox
 from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError
 from .nn.train import ArrayDataset
 from .pgm import read_pgm, write_pgm
+from .sampling import _take
 
 DEFAULT_CLASSES = ("disk", "bar", "cross")
 DEFAULT_CONDITION_MIX: dict[Condition, float] = {
@@ -91,20 +92,37 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """An in-memory dataset plus its manifest and per-sample conditions."""
+    """An in-memory dataset plus its manifest: record i is row i."""
 
     manifest: DatasetManifest
     dataset: ArrayDataset
-    conditions: tuple[Condition, ...]
+
+    @classmethod
+    def from_records(
+        cls, manifest: DatasetManifest, images: np.ndarray, class_order: Sequence[str]
+    ) -> "SyntheticData":
+        """Pair each record with its image row; labels, center-form boxes
+        and sample ids are read from the records."""
+        index = {c: k for k, c in enumerate(class_order)}
+        records = manifest.records
+        dataset = ArrayDataset(
+            images=images,
+            labels=np.array([index[r.class_label] for r in records], dtype=np.int64),
+            class_order=tuple(class_order),
+            boxes=np.reshape(
+                [normalize_box_to_center_form(r.bbox, r.image_size) for r in records], (-1, 4)
+            ),
+            sample_ids=tuple(r.sample_id for r in records),
+        )
+        return cls(manifest=manifest, dataset=dataset)
+
+    @property
+    def conditions(self) -> tuple[Condition, ...]:
+        return tuple(r.condition for r in self.manifest.records)
 
     def subset(self, indices: np.ndarray) -> "SyntheticData":
-        records = tuple(self.manifest.records[i] for i in indices)
         return SyntheticData(
-            manifest=DatasetManifest(
-                records=records, taxonomy=self.manifest.taxonomy, seed=self.manifest.seed
-            ),
-            dataset=self.dataset.subset(indices),
-            conditions=tuple(self.conditions[i] for i in indices),
+            manifest=_take(self.manifest, indices), dataset=self.dataset.subset(indices)
         )
 
 
@@ -226,39 +244,27 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticData:
     cond_probs = np.array([config.condition_mix[c] for c in cond_names])
 
     images = np.empty((config.n_samples, 1, h, w))
-    boxes = np.empty((config.n_samples, 4))
     records = []
-    conditions = []
     for i, k in enumerate(label_seq):
         class_name = config.class_names[int(k)]
         condition = cond_names[int(rng.choice(len(cond_names), p=cond_probs))]
         img, bbox = _render_shape(rng, class_name, (h, w))
         img, bbox = _apply_condition(rng, condition, img, bbox, (h, w))
-        sample_id = f"syn-{config.seed}-{i:05d}"
         records.append(
             AnnotationRecord(
-                sample_id=sample_id,
+                sample_id=f"syn-{config.seed}-{i:05d}",
                 class_label=class_name,
                 bbox=bbox,
                 condition=condition,
                 image_size=(w, h),
             )
         )
-        conditions.append(condition)
         images[i, 0] = img
-        boxes[i] = normalize_box_to_center_form(bbox, (w, h))
 
     manifest = DatasetManifest(
         records=tuple(records), taxonomy=frozenset(config.class_names), seed=config.seed
     )
-    dataset = ArrayDataset(
-        images=images,
-        labels=label_seq.astype(np.int64),
-        class_order=tuple(config.class_names),
-        boxes=boxes,
-        sample_ids=tuple(r.sample_id for r in records),
-    )
-    return SyntheticData(manifest=manifest, dataset=dataset, conditions=tuple(conditions))
+    return SyntheticData.from_records(manifest, images, config.class_names)
 
 
 def write_synthetic_dataset(data: SyntheticData, out_dir: str | Path) -> Path:
@@ -273,16 +279,7 @@ def write_synthetic_dataset(data: SyntheticData, out_dir: str | Path) -> Path:
     for i, record in enumerate(data.manifest.records):
         ref = f"images/{record.sample_id}.pgm"
         write_pgm(data.dataset.images[i, 0], out_dir / ref)
-        refs.append(
-            AnnotationRecord(
-                sample_id=record.sample_id,
-                class_label=record.class_label,
-                bbox=record.bbox,
-                condition=record.condition,
-                image_size=record.image_size,
-                image_ref=ref,
-            )
-        )
+        refs.append(replace(record, image_ref=ref))
     manifest = DatasetManifest(
         records=tuple(refs), taxonomy=data.manifest.taxonomy, seed=data.manifest.seed
     )
@@ -300,8 +297,7 @@ def dataset_from_manifest(
     root = Path(root)
     if class_order is None:
         class_order = sorted(manifest.taxonomy)
-    index = {c: i for i, c in enumerate(class_order)}
-    images, labels, boxes, ids, conds = [], [], [], [], []
+    images = []
     for record in manifest.records:
         if record.image_ref is None:
             raise ManifestError(f"record {record.sample_id!r} has no image_ref")
@@ -316,15 +312,4 @@ def dataset_from_manifest(
                 f"match declared size {h}x{w}"
             )
         images.append(img[None, :, :])
-        labels.append(index[record.class_label])
-        boxes.append(normalize_box_to_center_form(record.bbox, (w, h)))
-        ids.append(record.sample_id)
-        conds.append(record.condition)
-    dataset = ArrayDataset(
-        images=np.stack(images),
-        labels=np.array(labels, dtype=np.int64),
-        class_order=tuple(class_order),
-        boxes=np.stack(boxes),
-        sample_ids=tuple(ids),
-    )
-    return SyntheticData(manifest=manifest, dataset=dataset, conditions=tuple(conds))
+    return SyntheticData.from_records(manifest, np.stack(images), class_order)

@@ -4,6 +4,9 @@ correlation, mitigation, recalibration, and report reproducibility."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -32,7 +35,8 @@ from biaslens.losses import ClassWeights
 from biaslens.manifest import Condition
 from biaslens.nn.models import build_model
 from biaslens.nn.train import TrainConfig
-from biaslens.synthetic import SyntheticConfig, generate_synthetic
+from biaslens.nn.train import evaluate
+from biaslens.synthetic import SyntheticConfig, generate_synthetic, normalize_box_to_center_form
 
 SMALL_ARCH = {"input_hw": (16, 16), "channels": (4, 6), "kernel": 3}
 VIT_ARCH = {"input_hw": (16, 16), "patch": 4, "dim": 8, "n_heads": 2, "n_layers": 2}
@@ -55,6 +59,33 @@ def small_data(n=90, shares=(1 / 3, 1 / 3, 1 / 3), seed=0):
     return generate_synthetic(
         SyntheticConfig(n_samples=n, shares=shares, image_hw=(16, 16), seed=seed)
     )
+
+
+def with_shared_disk_ids(data):
+    """The same data, with each pair of distinct disk records sharing one id."""
+    records = list(data.manifest.records)
+    disks = [i for i, r in enumerate(records) if r.class_label == "disk"]
+    for j, i in enumerate(disks):
+        records[i] = replace(records[i], sample_id=f"disk-{j // 2}")
+    ids = tuple(r.sample_id for r in records)
+    return replace(
+        data,
+        manifest=replace(data.manifest, records=tuple(records)),
+        dataset=replace(data.dataset, sample_ids=ids),
+    )
+
+
+def assert_rows_match_records(out, source):
+    """Every row of ``out`` holds its own record's label and box, and each
+    row copied from ``source`` (not augmented) holds the image of the
+    source record with the same box."""
+    image_by_box = {r.bbox: source.dataset.images[i] for i, r in enumerate(source.manifest.records)}
+    for i, record in enumerate(out.manifest.records):
+        assert out.dataset.class_order[out.dataset.labels[i]] == record.class_label
+        box = normalize_box_to_center_form(record.bbox, record.image_size)
+        assert np.array_equal(out.dataset.boxes[i], box), f"row {i} holds another record's box"
+        if "-aug" not in record.sample_id:
+            assert np.array_equal(out.dataset.images[i], image_by_box[record.bbox])
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +163,35 @@ class TestCorrelateErrors:
     def test_too_few_classes_rejected(self):
         with pytest.raises(AuditError, match=">= 3"):
             correlate_errors({"a": 0.1, "b": 0.2}, {"a": 0.3, "b": 0.4})
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.floats(-10, 10, allow_nan=False) | st.sampled_from([0.0, 0.5, 1.0]),
+                st.floats(-10, 10, allow_nan=False) | st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+            min_size=3,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_coefficient_equals_scipy_spearmanr_exactly(self, pairs):
+        from scipy.stats import spearmanr
+
+        x, y = zip(*pairs)
+        classes = [f"c{i:02d}" for i in range(len(pairs))]
+        out = correlate_errors(dict(zip(classes, x)), dict(zip(classes, y)))
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            assert out["undefined"] is True
+        else:
+            assert out["coefficient"] == float(spearmanr(x, y).statistic)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, biaslens.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_only_shared_classes_counted(self):
         out = correlate_errors(
@@ -238,6 +298,30 @@ class TestEvaluateSide:
         probe = 3 * options.probe_per_class
         assert batches == [60, probe]
         assert set(side["per_class"]) == {"disk", "bar", "cross"}
+
+
+class TestSharedSampleIds:
+    """Records are paired with rows by position, so distinct records that
+    share a sample id each keep their own box and image."""
+
+    def test_combined_resampling_keeps_each_records_row(self):
+        data = with_shared_disk_ids(small_data(n=60, shares=(0.2, 0.5, 0.3)))
+        resampled, plan = audit_mod._resample_training(data, seed=3)
+        assert plan.target_counts == {"disk": 18, "bar": 18, "cross": 18}
+        assert np.bincount(resampled.dataset.labels).tolist() == [18, 18, 18]
+        assert_rows_match_records(resampled, data)
+
+    def test_relevance_duplicates_keep_each_records_row(self, vit_run):
+        train = with_shared_disk_ids(vit_run.data.subset(vit_run.splits[0]))
+        run = replace(vit_run, options=replace(vit_run.options, tau_rel=1.01))
+        augmented, _plan, dup_ids = audit_mod._augment_training(run, train)
+        assert dup_ids
+        assert_rows_match_records(augmented, train)
+        preds = evaluate(vit_run.model, train.dataset)["preds"]
+        row_by_box = {r.bbox: i for i, r in enumerate(train.manifest.records)}
+        for record in augmented.manifest.records[-len(dup_ids):]:
+            src = row_by_box[record.bbox]
+            assert preds[src] != train.dataset.labels[src], "a well-classified row was duplicated"
 
 
 class TestRunMitigation:

@@ -428,6 +428,11 @@ class TestAttentionExtraction:
         npt.assert_allclose(cells[("disk", Condition.NORMAL)], (3 / 16 + 0.5) / 2, atol=1e-12)
         npt.assert_allclose(cells[("bar", Condition.NIGHT)], 1.0, atol=1e-12)
 
+    def test_mass_by_cell_needs_one_record_per_sample(self):
+        summary = extract_attention(uniform_attention_vit(), vit_dataset(n=3))
+        with pytest.raises(BehaviorError, match="2 records for 3"):
+            mass_by_cell(summary, [make_record(sample_id=f"s{i}") for i in range(2)])
+
 
 class TestPlateauDetection:
     @staticmethod

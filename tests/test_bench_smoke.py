@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["cnn-combined", "vit-augment", "cli-sensitivity"])
+@pytest.mark.parametrize("workload", ["cnn-combined", "vit-augment", "cli-sensitivity", "manifest-scale"])
 def test_small_round_is_correct_and_names_the_contract_metrics(workload):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     proc = subprocess.run(

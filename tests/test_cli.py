@@ -159,6 +159,22 @@ class TestMalformedInputExitsOne:
         assert code == 1
         assert f"{path}: malformed header" in capsys.readouterr().err
 
+    @staticmethod
+    def _header_only(arch: dict) -> bytes:
+        header = json.dumps({"arch": arch, "seed": 0, "config": {}, "params": []}).encode()
+        return MAGIC + struct.pack("<Q", len(header)) + header
+
+    def test_snapshot_arch_with_an_unknown_key(self, tmp_path, capsys):
+        path, code = self._heatmap(tmp_path, self._header_only({"kind": "tiny_vit", "bogus": 1}))
+        assert code == 1
+        assert f"{path}: unknown tiny_vit arch keys: ['bogus']" in capsys.readouterr().err
+
+    def test_snapshot_with_an_empty_parameter_table(self, tmp_path, capsys):
+        arch = {"kind": "tiny_cnn", "input_hw": [16, 16], "channels": [4, 6]}
+        path, code = self._heatmap(tmp_path, self._header_only(arch))
+        assert code == 1
+        assert f"{path}: parameter name mismatch" in capsys.readouterr().err
+
 
 class TestConfigResolution:
     def test_flags_beat_file_beats_defaults(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslens.manifest import compute_distribution
+from biaslens.manifest import DatasetManifest, compute_distribution
 from biaslens.sampling import (
     ResampleError,
     ResampleMode,
@@ -17,9 +17,11 @@ from biaslens.sampling import (
     draw_subset,
     random_oversample,
     random_undersample,
+    _combined_rows,
+    _take,
 )
 
-from conftest import make_manifest
+from conftest import make_manifest, make_record
 
 
 def class_counts(manifest):
@@ -134,6 +136,18 @@ class TestCombinedResample:
         assert distribution_matches_targets(
             compute_distribution(balanced), plan.target_counts
         )
+
+    @given(
+        labels=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=80),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_take_the_resampled_manifest(self, labels, seed):
+        manifest = DatasetManifest(
+            records=tuple(make_record(sample_id=f"r{i}", class_label=c) for i, c in enumerate(labels))
+        )
+        rows, plan = _combined_rows(manifest, seed)
+        assert (_take(manifest, rows), plan) == combined_resample(manifest, seed)
 
     @given(
         targets=st.fixed_dictionaries(
