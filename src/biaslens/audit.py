@@ -30,7 +30,7 @@ from .behavior import (
     lrp_propagate,
     mass_by_cell,
     relevance_mass_in_box,
-    sensitivity_score,
+    sensitivity_scores,
     unit_class_activations,
     selectivity_score,
 )
@@ -294,11 +294,7 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
     sensitivity: dict[str, float] = {}
     for k, c in enumerate(class_order):
         imgs = probe.images[probe.labels == k][: options.sensitivity_samples]
-        scores = [
-            sensitivity_score(model, imgs, last_tap, unit)
-            for unit in range(model.tap_units(last_tap))
-        ]
-        sensitivity[c] = float(np.mean(scores))
+        sensitivity[c] = float(np.mean(sensitivity_scores(model, imgs, last_tap)))
 
     per_class: dict[str, dict] = {}
     for c in class_order:

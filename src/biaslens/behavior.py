@@ -45,31 +45,38 @@ def unit_activation_matrix(model, images: np.ndarray, batch_size: int = 256) -> 
     return _forward_pass(model, images, batch_size).unit_means
 
 
-def sensitivity_score(model, images: np.ndarray, tap: str, unit: int) -> float:
-    """Mean over samples of mean |d activation / d input pixel|.
+def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
+    """Per unit of ``tap``: mean over samples of mean |d activation / d
+    input pixel|.
 
-    The probed activation is the unit's spatial (or patch) mean. A dead
-    unit yields 0 and is logged.
+    The probed activation is the unit's spatial (or patch) mean. One
+    forward fills the layer caches; every unit's backward reads them. A
+    dead unit scores 0 and is logged.
     """
     if images.shape[0] == 0:
         raise BehaviorError("sensitivity needs a non-empty sample set")
-    res = model.forward(images, train=False)
-    act = dict(res.trunk)[tap]
-    seed = np.zeros_like(act)
-    if act.ndim == 4:
-        seed[:, unit] = 1.0 / (act.shape[2] * act.shape[3])
-    elif act.ndim == 3:
-        seed[:, :, unit] = 1.0 / act.shape[1]
-    else:
-        seed[:, unit] = 1.0
-    model.zero_grads()
-    grad = model.backward_from_tap(tap, seed)
-    model.zero_grads()
-    per_sample = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1)
-    score = float(per_sample.mean())
-    if score == 0.0:
-        _log.warning("unit %d at tap %r is dead (zero gradient path)", unit, tap)
-    return score
+    act = dict(model.forward(images, train=False).trunk)[tap]
+    scores = np.empty(act.shape[2] if act.ndim == 3 else act.shape[1])
+    for unit in range(len(scores)):
+        seed = np.zeros_like(act)
+        if act.ndim == 4:
+            seed[:, unit] = 1.0 / (act.shape[2] * act.shape[3])
+        elif act.ndim == 3:
+            seed[:, :, unit] = 1.0 / act.shape[1]
+        else:
+            seed[:, unit] = 1.0
+        model.zero_grads()
+        grad = model.backward_from_tap(tap, seed)
+        model.zero_grads()
+        scores[unit] = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1).mean()
+        if scores[unit] == 0.0:
+            _log.warning("unit %d at tap %r is dead (zero gradient path)", unit, tap)
+    return scores
+
+
+def sensitivity_score(model, images: np.ndarray, tap: str, unit: int) -> float:
+    """One unit's entry of :func:`sensitivity_scores`."""
+    return float(sensitivity_scores(model, images, tap)[unit])
 
 
 def selectivity_score(activations: Mapping[str, float]) -> dict[str, float]:
@@ -205,18 +212,16 @@ class BehaviorTracker:
         class_means: dict[str, list[float]] = {c: [] for c in self.probe_set.class_order}
         per_tap = unit_class_activations(model, self.probe_set)
         for tap in taps:
-            for unit, acts in per_tap[tap].items():
-                sel = selectivity_score(acts)
-                for c, s in sel.items():
-                    sens = float("nan")
-                    if self.with_sensitivity:
-                        k = self.probe_set.class_order.index(c)
-                        imgs = self.probe_set.images[self.probe_set.labels == k][
-                            : self.sensitivity_samples
-                        ]
-                        sens = sensitivity_score(model, imgs, tap, unit)
+            units = per_tap[tap]
+            sens = {c: np.full(len(units), np.nan) for c in class_means}
+            if self.with_sensitivity:
+                for k, c in enumerate(self.probe_set.class_order):
+                    imgs = self.probe_set.images[self.probe_set.labels == k]
+                    sens[c] = sensitivity_scores(model, imgs[: self.sensitivity_samples], tap)
+            for unit, acts in units.items():
+                for c, s in selectivity_score(acts).items():
                     self.scores.records.append(
-                        BehaviorRecord(epoch, tap, unit, c, sens, s)
+                        BehaviorRecord(epoch, tap, unit, c, float(sens[c][unit]), s)
                     )
                     class_means[c].append(s)
         return {f"selectivity_{c}": sum(v) / len(v) for c, v in class_means.items() if v}
@@ -233,10 +238,12 @@ def track_behavior(
     probe_set: ArrayDataset,
     taps: Sequence[str] | None = None,
     with_sensitivity: bool = False,
+    sensitivity_samples: int = 16,
 ) -> BehaviorScores:
     """Replay mode: recompute the behavior time series from saved
-    per-epoch snapshots (equals the live hook's series)."""
-    tracker = BehaviorTracker(probe_set, taps, with_sensitivity)
+    per-epoch snapshots (equals the series of a live tracker built with
+    the same arguments)."""
+    tracker = BehaviorTracker(probe_set, taps, with_sensitivity, sensitivity_samples)
     for epoch, snap in enumerate(snapshots):
         tracker.observe(model_from_snapshot(snap), epoch)
     return tracker.scores

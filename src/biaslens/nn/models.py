@@ -210,10 +210,6 @@ class TinyCNN(_ModelBase):
     def trunk_taps(self) -> list[str]:
         return list(self._tap_index)
 
-    def tap_units(self, tap: str) -> int:
-        """Number of analyzable units (conv channels) at a tap."""
-        return self.arch["channels"][{"conv1": 0, "conv2": 1}[tap]]
-
     def forward(self, x: np.ndarray, train: bool = False) -> ForwardResult:
         x = self._check_input(x)
         outs = []
@@ -357,9 +353,6 @@ class TinyViT(_ModelBase):
     @property
     def trunk_taps(self) -> list[str]:
         return [f"block{i}" for i in range(len(self._blocks))]
-
-    def tap_units(self, tap: str) -> int:
-        return self.dim
 
     def _patchify(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape

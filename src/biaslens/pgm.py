@@ -27,15 +27,23 @@ def write_pgm(image: np.ndarray, path: str | Path) -> None:
         fh.write(levels.tobytes())
 
 
+class PGMError(ValueError):
+    """Bytes that are not an 8-bit binary PGM; the message names the file."""
+
+
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM (P5) file into a float64 array in [0, 1]."""
+    """Read a binary PGM (P5) file into a float64 array in [0, 1].
+
+    Any content that is not such a file raises PGMError naming ``path``.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # Header tokens: magic, width, height, maxval; '#' comments allowed.
-    tokens: list[bytes] = []
+        raise PGMError(f"{path}: not a binary PGM (P5) file")
+    # Header fields: width, height, maxval, each a run of ASCII digits;
+    # '#' comments allowed between them.
+    fields: list[int] = []
     pos = 2
-    while len(tokens) < 3:
+    while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
@@ -45,12 +53,17 @@ def read_pgm(path: str | Path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        tokens.append(data[start:pos])
+        token = data[start:pos]
+        if not token:
+            raise PGMError(f"{path}: truncated header")
+        if not (token.isdigit() and len(token) <= 18):
+            raise PGMError(f"{path}: bad header field {token[:20]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = fields
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval} (expected 255)")
+        raise PGMError(f"{path}: unsupported maxval {maxval} (expected 255)")
+    if len(data) - pos < w * h:
+        raise PGMError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
     return pixels.reshape(h, w).astype(np.float64) / 255.0

@@ -204,13 +204,13 @@ class TestCorrelateErrors:
 class TestRunAudit:
     def test_epoch_tracking_probes_sensitivity_samples_per_class(self, monkeypatch):
         probed = []
-        original = behavior_mod.sensitivity_score
+        original = behavior_mod.sensitivity_scores
 
-        def counting(model, images, tap, unit):
+        def counting(model, images, tap):
             probed.append(len(images))
-            return original(model, images, tap, unit)
+            return original(model, images, tap)
 
-        monkeypatch.setattr(behavior_mod, "sensitivity_score", counting)
+        monkeypatch.setattr(behavior_mod, "sensitivity_scores", counting)
         # 180 samples leave 8 validation images of each class for the probe.
         run = run_audit(small_data(n=180), small_options(track_sensitivity=True))
         assert run.behavior.records
@@ -282,7 +282,10 @@ class TestRunAudit:
 
 class TestEvaluateSide:
     def test_forwards_the_test_split_once_and_the_probe_once(self, monkeypatch):
-        monkeypatch.setattr(audit_mod, "sensitivity_score", lambda *args: 1.0)
+        monkeypatch.setattr(
+            audit_mod, "sensitivity_scores",
+            lambda model, images, tap: np.ones(SMALL_ARCH["channels"][-1]),
+        )
         options = small_options()
         test = small_data(n=60)
         model = build_model({"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}, seed=0)
@@ -298,6 +301,22 @@ class TestEvaluateSide:
         probe = 3 * options.probe_per_class
         assert batches == [60, probe]
         assert set(side["per_class"]) == {"disk", "bar", "cross"}
+
+    def test_forwards_the_sensitivity_probe_once_per_class(self):
+        options = small_options()
+        test = small_data(n=60)
+        model = build_model({"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}, seed=0)
+        batches = []
+        forward = model.forward
+
+        def counting(x, train=False):
+            batches.append(len(x))
+            return forward(x, train)
+
+        model.forward = counting
+        evaluate_side(model, test, options)
+        probe = 3 * options.probe_per_class
+        assert batches == [60, probe] + [options.sensitivity_samples] * 3
 
 
 class TestSharedSampleIds:

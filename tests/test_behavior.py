@@ -30,6 +30,7 @@ from biaslens.behavior import (
     relevance_mass_in_box,
     selectivity_score,
     sensitivity_score,
+    sensitivity_scores,
     track_behavior,
     unit_activation_matrix,
     unit_class_activations,
@@ -174,6 +175,68 @@ class TestSensitivity:
         model = LinearProbeModel(np.eye(2))
         with pytest.raises(BehaviorError, match="non-empty"):
             sensitivity_score(model, np.zeros((0, 2)), "lin", unit=0)
+
+
+def reference_sensitivity(model, images, tap, unit):
+    """One unit's score with a forward of its own, as computed before
+    every unit of a tap read one forward."""
+    res = model.forward(images, train=False)
+    act = dict(res.trunk)[tap]
+    seed = np.zeros_like(act)
+    if act.ndim == 4:
+        seed[:, unit] = 1.0 / (act.shape[2] * act.shape[3])
+    elif act.ndim == 3:
+        seed[:, :, unit] = 1.0 / act.shape[1]
+    else:
+        seed[:, unit] = 1.0
+    model.zero_grads()
+    grad = model.backward_from_tap(tap, seed)
+    model.zero_grads()
+    per_sample = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1)
+    return float(per_sample.mean())
+
+
+class TestSensitivityScores:
+    """sensitivity_scores equals the one-forward-per-unit reference bit
+    for bit, for every unit of every tap."""
+
+    @staticmethod
+    def _assert_matches_reference(model, images, units_by_tap):
+        for tap, n_units in units_by_tap.items():
+            scores = sensitivity_scores(model, images, tap)
+            expected = [reference_sensitivity(model, images, tap, u) for u in range(n_units)]
+            assert scores.shape == (n_units,)
+            assert scores.tolist() == expected
+            assert sensitivity_score(model, images, tap, n_units - 1) == expected[-1]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_tiny_cnn(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = TinyCNN(
+            n_classes=2, input_hw=(8, 8), channels=(3, 4), box_head=False, seed=seed % 1000
+        )
+        self._assert_matches_reference(
+            model, rng.random((n, 1, 8, 8)), {"conv1": 3, "conv2": 4}
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_tiny_vit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = tiny_vit(input_hw=(16, 16), patch=4, seed=seed % 1000)
+        self._assert_matches_reference(
+            model, rng.random((n, 1, 16, 16)), {"block0": 8, "block1": 8}
+        )
+
+    @given(
+        w=st.lists(st.floats(-4, 4, allow_nan=False), min_size=6, max_size=6),
+        n=st.integers(1, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_linear_probe(self, w, n):
+        model = LinearProbeModel(np.array(w).reshape(2, 3))
+        self._assert_matches_reference(model, np.zeros((n, 2)), {"lin": 3})
 
 
 class TestUnitActivations:
@@ -552,6 +615,50 @@ class TestBehaviorTracking:
         assert len(replayed.records) == len(live.records)
         for c in ("a", "b"):
             assert replayed.selectivity_series(c) == live.selectivity_series(c)
+
+    def test_replay_with_sensitivity_samples_matches_live(self):
+        data = self._dataset(n_per_class=8)
+        tracker = BehaviorTracker(data, taps=["conv1", "conv2"], with_sensitivity=True,
+                                  sensitivity_samples=4)
+        snapshots = []
+
+        def hook(model, epoch, row):
+            out = tracker.observe(model, epoch)
+            snapshots.append(ModelSnapshot.from_model(model))
+            return out
+
+        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+        train(model, data, TrainConfig(batch_size=8, epochs=2), epoch_hook=hook)
+
+        replayed = track_behavior(
+            snapshots, data, taps=["conv1", "conv2"], with_sensitivity=True,
+            sensitivity_samples=4,
+        )
+        assert all(np.isfinite(r.sensitivity) for r in replayed.records)
+        assert replayed.records == tracker.scores.records
+
+    def test_sensitivity_forwards_once_per_tap_and_class(self):
+        data = self._dataset(n_per_class=5)
+        tracker = BehaviorTracker(data, with_sensitivity=True, sensitivity_samples=3)
+        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+        batches = []
+        forward = model.forward
+
+        def counting(x, train=False):
+            batches.append(len(x))
+            return forward(x, train)
+
+        model.forward = counting
+        tracker.observe(model, 0)
+        # the probe once for activations, then 3 images per (tap, class)
+        assert batches == [10] + [3] * (2 * 2)
+        order = [(r.layer, r.neuron, r.class_label) for r in tracker.scores.records]
+        assert order == [
+            (tap, unit, c)
+            for tap, units in (("conv1", 2), ("conv2", 3))
+            for unit in range(units)
+            for c in ("a", "b")
+        ]
 
     def test_with_sensitivity_fills_the_column(self):
         data = self._dataset(n_per_class=4)

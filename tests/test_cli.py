@@ -11,7 +11,7 @@ import pytest
 
 from biaslens.audit import canonical_json
 from biaslens.cli import CLIError, main, resolve_config
-from biaslens.manifest import write_manifest
+from biaslens.manifest import load_manifest, write_manifest
 from biaslens.nn.snapshot import MAGIC
 from biaslens.synthetic import (
     SyntheticConfig,
@@ -148,6 +148,21 @@ class TestMalformedInputExitsOne:
             "heatmap", "--snapshot", str(path), "--synthetic", "balanced",
             "--n-samples", "6", "--image-size", "16", "--out", str(tmp_path / "o"),
         ])
+
+    def test_manifest_image_holding_only_the_magic(self, tmp_path, capsys):
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=12, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=0)
+        )
+        root = tmp_path / "data"
+        manifest_path = write_synthetic_dataset(data, root)
+        bad = root / load_manifest(manifest_path).records[5].image_ref
+        bad.write_bytes(b"P5")
+        code = main([
+            "audit", "--manifest", str(manifest_path), "--images-root", str(root),
+            *FAST_TRAIN, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert f"{bad}: truncated header" in capsys.readouterr().err
 
     def test_snapshot_holding_only_the_magic(self, tmp_path, capsys):
         path, code = self._heatmap(tmp_path, MAGIC)
