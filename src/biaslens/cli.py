@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -332,6 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
 # config resolution
 
 
+# Keys whose default is None take the type their flag parses to; str unless listed.
+_NULL_DEFAULT_KINDS = {"seed": int, "target_recall": float}
+
+
+def _is_kind(value, kind: type, nullable: bool) -> bool:
+    """Whether a config-file value is what the key's flag would parse to."""
+    if value is None:
+        return nullable
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, kind)
+
+
 def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunConfig:
     defaults = SUBCOMMAND_DEFAULTS[subcommand]
     resolved = dict(defaults)
@@ -341,16 +357,24 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
         if not path.exists():
             raise CLIError(f"config file not found: {path}")
         try:
-            file_values = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            file_values = json.loads(path.read_bytes().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # decode, JSON and nesting errors
             raise CLIError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise CLIError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
             raise CLIError(
-                f"unknown config keys for {subcommand!r}: {', '.join(unknown)}"
+                f"config file {path}: unknown config keys for {subcommand!r}: "
+                f"{', '.join(unknown)}"
             )
+        for key, value in file_values.items():
+            default = defaults[key]
+            kind = _NULL_DEFAULT_KINDS.get(key, str) if default is None else type(default)
+            if not _is_kind(value, kind, nullable=default is None):
+                raise CLIError(
+                    f"config file {path}: {key} must be {kind.__name__}, got {value!r}"
+                )
         resolved.update(file_values)
     resolved.update(explicit)
     if "seed" in defaults and resolved.get("seed") is None:
@@ -664,6 +688,8 @@ def _run_seeds(cfg: RunConfig, strategy_name: str | None) -> list[dict]:
         for seed in seeds
     ]
     if jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_audit_one, payloads))
     return [_audit_one(p) for p in payloads]

@@ -33,8 +33,10 @@ class Detection:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.bbox
-        if not (x1 < x2 and y1 < y2):
-            raise MetricError(f"detection {self.sample_id!r}: degenerate bbox {self.bbox}")
+        if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, self.bbox))):
+            raise MetricError(
+                f"detection {self.sample_id!r}: degenerate or non-finite bbox {self.bbox}"
+            )
         if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
             raise MetricError(f"detection {self.sample_id!r}: score {self.score} outside [0,1]")
 
@@ -300,24 +302,32 @@ def per_class_errors(match: MatchResult) -> dict[str, PerClassErrors]:
 
 
 def load_detections(path: str | Path) -> list[Detection]:
-    """Read detections from JSONL (sample_id, class_label, bbox, score)."""
+    """Read detections from JSONL (sample_id, class_label, bbox, score).
+
+    Raises MetricError naming ``path:line`` for a line that is not UTF-8,
+    not JSON, or not one valid detection.
+    """
     detections = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
+                bbox = tuple(float(v) for v in obj["bbox"])
+                if len(bbox) != 4:
+                    raise MetricError(f"bbox must have 4 elements, got {len(bbox)}")
                 detections.append(
                     Detection(
                         sample_id=str(obj["sample_id"]),
                         class_label=str(obj["class_label"]),
-                        bbox=tuple(float(v) for v in obj["bbox"]),  # type: ignore[arg-type]
+                        bbox=bbox,  # type: ignore[arg-type]
                         score=float(obj["score"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # MetricError and the decode and JSON errors are ValueErrors.
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise MetricError(f"{path}:{lineno}: malformed detection: {exc}") from None
     return detections
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -77,15 +76,22 @@ class ReLU(Layer):
 
 
 class GELU(Layer):
-    """Exact (erf) Gaussian error linear unit."""
+    """Exact (erf) Gaussian error linear unit.
+
+    Forward keeps ``1 + erf(x/sqrt 2)`` so backward needs no second erf.
+    scipy is imported here, on first use, so only models with a GELU load it.
+    """
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        from scipy.special import erf
+
         self._x = x
-        return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        self._e = 1.0 + erf(x / math.sqrt(2.0))
+        return 0.5 * x * self._e
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        cdf = 0.5 * self._e
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return dy * (cdf + x * pdf)
 

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .augment import AugmentKind, AugmentOp, transform_bbox
 from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError
@@ -204,6 +203,25 @@ def _render_shape(
     return img, bbox
 
 
+def _box_blur3(img: np.ndarray) -> np.ndarray:
+    """3-wide mean along each axis in turn, edges replicated: bit for bit
+    ``scipy.ndimage.uniform_filter(img, size=3, mode="nearest")``.
+
+    Each axis is a running sum (the first window from 0.0, then add the
+    sample entering and subtract the one leaving) divided by 3 afterwards,
+    which is the order of operations that makes the bits agree.
+    """
+    out = img
+    for axis in range(img.ndim):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(img.ndim)]
+        p = np.moveaxis(np.pad(out, pad, mode="edge"), axis, -1)
+        steps = np.empty(p.shape[:-1] + (p.shape[-1] - 2,))
+        steps[..., 0] = 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
+        steps[..., 1:] = p[..., 3:] - p[..., :-3]
+        out = np.moveaxis(np.cumsum(steps, axis=-1) / 3.0, -1, axis)
+    return out
+
+
 def _apply_condition(
     rng: np.random.Generator,
     condition: Condition,
@@ -218,7 +236,7 @@ def _apply_condition(
         out = img * 0.35 + rng.normal(0.0, 0.02, size=img.shape)
         return np.clip(out, 0.0, 1.0), bbox
     if condition is Condition.WEATHER:
-        out = uniform_filter(img, size=3, mode="nearest")
+        out = _box_blur3(img)
         out = out + rng.normal(0.0, 0.08, size=img.shape)
         return np.clip(out, 0.0, 1.0), bbox
     if condition in (Condition.ROTATED, Condition.MIXED):

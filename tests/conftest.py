@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from biaslens.manifest import AnnotationRecord, Condition, DatasetManifest
+
+
+# Any JSON value, for fuzzing the line-oriented readers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=12,
+)
 
 
 def make_record(

@@ -8,6 +8,8 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from biaslens.audit import canonical_json
 from biaslens.cli import CLIError, main, resolve_config
@@ -227,6 +229,62 @@ class TestConfigResolution:
         monkeypatch.setenv("BIASLENS_SEED", "7")
         assert resolve_config("audit", {}, None).values["seed"] == 7
         assert resolve_config("audit", {"seed": 5}, None).values["seed"] == 5
+
+
+class TestConfigFileFuzz:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff{}", "codec can't decode"),
+            (b"[" * 100000 + b"]" * 100000, "recursion"),
+            (b'{"epochz": 1}', "unknown config keys"),
+        ],
+        ids=["not-utf8", "deep-nesting", "unknown-key"],
+    )
+    def test_reproduced_cases_exit_1_naming_the_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        with pytest.raises(CLIError, match=message) as info:
+            resolve_config("audit", {"config": str(path)}, None)
+        assert str(path) in str(info.value)
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @given(data=st.binary(max_size=64))
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_bytes_resolve_or_raise_cli_error_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        try:
+            resolve_config("analyze", {"config": str(path)}, None)
+        except CLIError as exc:
+            assert str(path) in str(exc)
+        # The manifest is absent, so a config that resolves still exits 1.
+        argv = ["analyze", "--manifest", str(tmp_path / "absent.jsonl"), "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(["seed", "jobs", "manifest", "mode", "target", "epochs"]),
+            st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+            | st.sampled_from(["Combined", "Oversample", "Undersample"])
+            | st.lists(st.sampled_from(["disk=4", "bar=x", "cross", "=2", 7]), max_size=2),
+            max_size=4,
+        )
+    )
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_json_shaped_config_exits_0_or_1(self, dataset_dir, tmp_path, values):
+        manifest_path, _ = dataset_dir
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        for sub in ("analyze", "resample"):
+            argv = [sub, "--manifest", str(manifest_path), "--config", str(path)]
+            assert main([*argv, "--out", str(tmp_path / sub)]) in (0, 1)
 
 
 class TestAnalyze:

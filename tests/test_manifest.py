@@ -22,7 +22,7 @@ from biaslens.manifest import (
     write_manifest,
 )
 
-from conftest import make_manifest, make_record
+from conftest import JSON_VALUES, make_manifest, make_record
 
 
 class TestAnnotationRecord:
@@ -105,12 +105,7 @@ class TestLoadManifest:
         assert "disk" in manifest.taxonomy  # observed labels always union in
 
 
-# Any JSON value, and objects shaped like a record whose fields hold any JSON value.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
-    max_leaves=12,
-)
+# Objects shaped like a record whose fields hold any JSON value.
 RECORD_LIKE = st.fixed_dictionaries(
     {},
     optional={

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from biaslens.detmetrics import (
@@ -29,7 +30,7 @@ from biaslens.detmetrics import (
     write_metrics_csv,
 )
 
-from conftest import make_record
+from conftest import JSON_VALUES, make_record
 
 
 def det(sample_id, class_label, bbox, score):
@@ -415,6 +416,71 @@ class TestDetectionIO:
             '\n{"sample_id": "s", "class_label": "car", "bbox": [0,0,1,1], "score": 0.5}\n\n'
         )
         assert len(load_detections(path)) == 1
+
+
+# Objects shaped like a detection whose fields hold any JSON value.
+DETECTION_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        key: JSON_VALUES | value
+        for key, value in {
+            "sample_id": st.just("s0"),
+            "class_label": st.just("car"),
+            "bbox": st.lists(st.floats() | st.integers() | st.text(max_size=3), max_size=5),
+            "score": st.floats() | st.integers() | st.text(max_size=3),
+        }.items()
+    },
+)
+_FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _detections_or_metric_error(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        dets = load_detections(path)
+    except MetricError as exc:
+        assert str(exc).startswith(f"{path}:")
+    else:
+        assert all(isinstance(d, Detection) for d in dets)
+
+
+class TestLoadDetectionsFuzz:
+    @given(data=st.binary(max_size=200))
+    @_FUZZ
+    def test_any_bytes_load_or_raise_metric_error(self, tmp_path, data):
+        _detections_or_metric_error(tmp_path / "fuzz.jsonl", data)
+
+    @given(values=st.lists(JSON_VALUES | DETECTION_LIKE, min_size=1, max_size=3))
+    @_FUZZ
+    def test_any_json_lines_load_or_raise_metric_error(self, tmp_path, values):
+        lines = "".join(json.dumps(v) + "\n" for v in values).encode("utf-8")
+        _detections_or_metric_error(tmp_path / "fuzz.jsonl", lines)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b'{"sample_id": "s", "class_label": "c", "bbox": ["x", 0, 1, 1], "score": 0.5}',
+             "could not convert"),
+            (b"\xff", "codec can't decode"),
+            (b'{"sample_id": "s", "class_label": "c", "bbox": [0, 0, 1], "score": 0.5}',
+             "bbox must have 4 elements, got 3"),
+            (b"[" * 100000 + b"]" * 100000, "recursion"),
+            (b'{"sample_id": "s", "class_label": "c", "bbox": [0, 0, 1, 1], "score": 1e400}',
+             "outside"),
+            (b'{"sample_id": "s", "class_label": "c", "bbox": [0, 0, 1, 1e400], "score": 0.5}',
+             "non-finite bbox"),
+        ],
+        ids=["bbox-string", "not-utf8", "bbox-3", "deep-nesting", "score-overflow", "bbox-inf"],
+    )
+    def test_typed_error_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "dets.jsonl"
+        ok = b'{"sample_id": "s", "class_label": "c", "bbox": [0, 0, 1, 1], "score": 0.5}\n'
+        path.write_bytes(ok + line + b"\n")
+        with pytest.raises(MetricError, match=message) as info:
+            load_detections(path)
+        assert str(info.value).startswith(f"{path}:2: ")
 
 
 class TestMetricsCSV:

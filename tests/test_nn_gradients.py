@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from biaslens.losses import weighted_cross_entropy
 from biaslens.nn.attention import MultiHeadSelfAttention, attention_weights
-from biaslens.nn.layers import Conv2D, MaxPool2D, ShapeError
+from biaslens.nn.layers import GELU, Conv2D, MaxPool2D, ShapeError
 from biaslens.nn.models import TinyCNN, TinyViT, build_model
 
 FD_EPS = 1e-5
@@ -230,6 +232,45 @@ class TestMaxPool2DReference:
         dx = pool.backward(dy)
         ref_out, ref_dx = maxpool_reference(x, size, dy)
         assert out.shape == ref_out.shape and dx.shape == ref_dx.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+
+def gelu_reference(x, dy):
+    """GELU forward and input gradient, each computing erf itself."""
+    from scipy.special import erf
+
+    out = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return out, dy * (cdf + x * pdf)
+
+
+class TestGELUReference:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9)),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_uncached_formula(self, seed, shape, scale):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * scale
+        dy = rng.standard_normal(shape)
+        gelu = GELU()
+        out = gelu.forward(x)
+        dx = gelu.backward(dy)
+        ref_out, ref_dx = gelu_reference(x, dy)
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+    def test_special_values_match_uncached_formula(self):
+        x = np.array([0.0, -0.0, 5e-324, -1e-310, 40.0, -40.0, np.inf, -np.inf, np.nan])
+        dy = np.linspace(-1.0, 1.0, x.size)
+        gelu = GELU()
+        with np.errstate(invalid="ignore"):
+            out, dx = gelu.forward(x), gelu.backward(dy)
+            ref_out, ref_dx = gelu_reference(x, dy)
         assert out.tobytes() == ref_out.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
 
