@@ -132,10 +132,16 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, computed in one fresh array.
+
+    ``logits`` is never written: the shifted copy is exponentiated and
+    normalized in place.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    z = x - x.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def weighted_ce_from_logits(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..losses import softmax
-from .layers import Layer, ShapeError, _fan_in_uniform
+from .layers import Layer, ShapeError, _affine, _fan_in_uniform
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
@@ -23,7 +23,8 @@ def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"Q and K feature dims differ: {q.shape} vs {k.shape}")
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d_k)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= math.sqrt(d_k)
     return softmax(scores)
 
 
@@ -61,15 +62,15 @@ class MultiHeadSelfAttention(Layer):
         if x.ndim != 3 or x.shape[-1] != self.dim:
             raise ShapeError(f"attention expects (N, P, {self.dim}), got {x.shape}")
         self._x = x
-        q = self._split_heads(x @ self.params["Wq"] + self.params["bq"])
-        k = self._split_heads(x @ self.params["Wk"] + self.params["bk"])
-        v = self._split_heads(x @ self.params["Wv"] + self.params["bv"])
-        a = softmax(q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_k))
+        q = self._split_heads(_affine(x, self.params["Wq"], self.params["bq"]))
+        k = self._split_heads(_affine(x, self.params["Wk"], self.params["bk"]))
+        v = self._split_heads(_affine(x, self.params["Wv"], self.params["bv"]))
+        a = attention_weights(q, k, self.d_k)
         ctx = a @ v
         merged = self._merge_heads(ctx)
         self._q, self._k, self._v, self._a, self._merged = q, k, v, a, merged
         self.last_attention = a
-        return merged @ self.params["Wo"] + self.params["bo"]
+        return _affine(merged, self.params["Wo"], self.params["bo"])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, q, k, v, a = self._x, self._q, self._k, self._v, self._a
@@ -81,7 +82,10 @@ class MultiHeadSelfAttention(Layer):
 
         da = dctx @ v.transpose(0, 1, 3, 2)
         dv = a.transpose(0, 1, 3, 2) @ dctx
-        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        # ds = a * (da - rowsum(da * a)) / sqrt(d_k), in the buffers da and ds.
+        ds = da * a
+        da -= ds.sum(axis=-1, keepdims=True)
+        np.multiply(a, da, out=ds)
         ds /= math.sqrt(self.d_k)
         dq = ds @ k
         dk = ds.transpose(0, 1, 3, 2) @ q

@@ -22,6 +22,13 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` with the bias added into the product's own buffer."""
+    out = x @ w
+    out += b
+    return out
+
+
 class Layer:
     """Base: parameter-free identity-ish layer with grad bookkeeping."""
 
@@ -55,7 +62,7 @@ class Dense(Layer):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Dense expects last dim {self.in_dim}, got {x.shape}")
         self._x = x
-        return x @ self.params["W"] + self.params["b"]
+        return _affine(x, self.params["W"], self.params["b"])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
@@ -80,20 +87,33 @@ class GELU(Layer):
 
     Forward keeps ``1 + erf(x/sqrt 2)`` so backward needs no second erf.
     scipy is imported here, on first use, so only models with a GELU load it.
+    Both passes build their result in one buffer and write nothing they
+    were given or cached.
     """
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         from scipy.special import erf
 
         self._x = x
-        self._e = 1.0 + erf(x / math.sqrt(2.0))
-        return 0.5 * x * self._e
+        e = x / math.sqrt(2.0)
+        erf(e, out=e)
+        e += 1.0
+        self._e = e
+        out = 0.5 * x
+        out *= e
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        cdf = 0.5 * self._e
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return dy * (cdf + x * pdf)
+        # dy * (0.5 * e + x * exp(-0.5 * x * x) / sqrt(2 pi))
+        g = -0.5 * x
+        g *= x
+        np.exp(g, out=g)
+        g /= math.sqrt(2.0 * math.pi)
+        g *= x
+        g += 0.5 * self._e
+        g *= dy
+        return g
 
 
 class Dropout(Layer):
@@ -127,21 +147,33 @@ class LayerNorm(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # Centers once; mean(square(x - mu)) is np.var's own arithmetic.
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = np.square(xc).mean(axis=-1, keepdims=True)
         self._inv_sigma = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mu) * self._inv_sigma
-        return self._xhat * self.params["gamma"] + self.params["beta"]
+        xc *= self._inv_sigma
+        self._xhat = xc
+        out = xc * self.params["gamma"]
+        out += self.params["beta"]
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        # inv_sigma * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+        # in the buffers dxhat and one scratch array t.
         xhat, inv_sigma = self._xhat, self._inv_sigma
         axes = tuple(range(dy.ndim - 1))
-        self.grads["gamma"] += (dy * xhat).sum(axis=axes)
+        t = dy * xhat
+        self.grads["gamma"] += t.sum(axis=axes)
         self.grads["beta"] += dy.sum(axis=axes)
         dxhat = dy * self.params["gamma"]
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv_sigma * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        np.multiply(dxhat, xhat, out=t)
+        mean_dxhat_xhat = t.mean(axis=-1, keepdims=True)
+        dxhat -= mean_dxhat
+        np.multiply(xhat, mean_dxhat_xhat, out=t)
+        dxhat -= t
+        dxhat *= inv_sigma
+        return dxhat
 
 
 class Conv2D(Layer):

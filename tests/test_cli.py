@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biaslens.audit import canonical_json
+from biaslens.audit import AuditOptions, canonical_json, run_audit
 from biaslens.cli import CLIError, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.nn.snapshot import MAGIC
+from biaslens.nn.train import TrainConfig
 from biaslens.synthetic import (
     SyntheticConfig,
     generate_synthetic,
@@ -433,6 +434,37 @@ class TestAuditCommand:
         assert [s["seed"] for s in summary] == [0, 1]
         run_dirs = {p.name for p in out.iterdir() if p.name.startswith("run-")}
         assert len(run_dirs) == 2
+
+
+class TestCliApiParity:
+    def test_vit_audit_through_main_equals_run_audit(self, tmp_path):
+        # The same request spelled as flags and as API objects: every value
+        # below is written out, none is read from the CLI's own helpers.
+        cli_out = tmp_path / "cli"
+        args = [
+            "audit", *FAST_VIT, "--probe-per-class", "4", "--sensitivity-samples", "2",
+            "--seed", "5", "--out", str(cli_out),
+        ]
+        assert main(args) == 0
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=24, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=5)
+        )
+        options = AuditOptions(
+            model_kind="tiny_vit",
+            train=TrainConfig(batch_size=8, epochs=1, seed=5),
+            seed=5,
+            probe_per_class=4,
+            sensitivity_samples=2,
+            arch={
+                "input_hw": (16, 16), "patch": 4, "dim": 8, "n_heads": 2,
+                "n_layers": 1, "mlp_ratio": 2.0,
+            },
+        )
+        run = run_audit(data, options, out_dir=tmp_path / "api")
+        cli_dir = single_run_dir(cli_out)
+        assert run.run_dir.name == cli_dir.name
+        for name in ("report.json", "trace.csv", "behavior.csv", "model.snapshot"):
+            assert (run.run_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
 
 
 class TestReportCommand:

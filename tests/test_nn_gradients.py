@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslens.losses import weighted_cross_entropy
+from biaslens.losses import softmax, weighted_cross_entropy
 from biaslens.nn.attention import MultiHeadSelfAttention, attention_weights
-from biaslens.nn.layers import GELU, Conv2D, MaxPool2D, ShapeError
+from biaslens.nn.layers import GELU, Conv2D, Dense, LayerNorm, MaxPool2D, ShapeError
 from biaslens.nn.models import TinyCNN, TinyViT, build_model
 
 FD_EPS = 1e-5
@@ -176,6 +176,41 @@ class TestMultiHeadAttention:
             MultiHeadSelfAttention(dim=6, n_heads=4, rng=np.random.default_rng(0))
 
 
+class TestLayerNorm:
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(5)
+        ln = LayerNorm(5)
+        ln.params["gamma"][...] = rng.normal(size=5)
+        ln.params["beta"][...] = rng.normal(size=5)
+        x = rng.normal(size=(2, 3, 5)) * 2.0 + 0.5
+        probe = rng.normal(size=(2, 3, 5))
+
+        def loss():
+            return float((ln.forward(x) * probe).sum())
+
+        loss()
+        ln.zero_grads()
+        dx = ln.backward(probe)
+        numeric = {}
+        for name, arr in ln.params.items():
+            g = np.zeros_like(arr)
+            for i in range(arr.size):
+                orig = arr[i]
+                arr[i] = orig + FD_EPS
+                up = loss()
+                arr[i] = orig - FD_EPS
+                down = loss()
+                arr[i] = orig
+                g[i] = (up - down) / (2 * FD_EPS)
+            numeric[name] = g
+        assert_grads_close(ln.grads, numeric)
+
+        def input_loss(x_now):
+            return float((ln.forward(x_now) * probe).sum())
+
+        npt.assert_allclose(dx, numeric_input_grad(x, input_loss), rtol=1e-5, atol=1e-6)
+
+
 def maxpool_reference(x, size, dy):
     """Pooling by argmax over gathered windows; the first maximum wins."""
     n, c, h, w = x.shape
@@ -273,6 +308,206 @@ class TestGELUReference:
             ref_out, ref_dx = gelu_reference(x, dy)
         assert out.tobytes() == ref_out.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
+
+
+def softmax_reference(logits):
+    """Row softmax with a fresh array per step."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layernorm_reference(x, gamma, beta, eps, dy):
+    """LayerNorm through ``x.var``: output, input, gamma and beta grads."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_sigma
+    out = xhat * gamma + beta
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * gamma
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_sigma * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return out, dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def attention_reference(params, n_heads, x, dy):
+    """Multi-head self-attention, every intermediate a fresh array:
+    output, weights, input grad and parameter grads."""
+    n, p, d = x.shape
+    d_k = d // n_heads
+
+    def split(t):
+        return t.reshape(n, p, n_heads, d_k).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(n, p, d)
+
+    q = split(x @ params["Wq"] + params["bq"])
+    k = split(x @ params["Wk"] + params["bk"])
+    v = split(x @ params["Wv"] + params["bv"])
+    a = softmax_reference(q @ k.transpose(0, 1, 3, 2) / math.sqrt(d_k))
+    merged = merge(a @ v)
+    out = merged @ params["Wo"] + params["bo"]
+
+    dy2 = dy.reshape(-1, d)
+    grads = {"Wo": merged.reshape(-1, d).T @ dy2, "bo": dy2.sum(axis=0)}
+    dctx = split(dy @ params["Wo"].T)
+    da = dctx @ v.transpose(0, 1, 3, 2)
+    dv = a.transpose(0, 1, 3, 2) @ dctx
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+    ds /= math.sqrt(d_k)
+    dq = ds @ k
+    dk = ds.transpose(0, 1, 3, 2) @ q
+    dx = np.zeros_like(x)
+    x2 = x.reshape(-1, d)
+    for name_w, name_b, grad in (("Wq", "bq", dq), ("Wk", "bk", dk), ("Wv", "bv", dv)):
+        g2 = merge(grad).reshape(-1, d)
+        grads[name_w] = x2.T @ g2
+        grads[name_b] = g2.sum(axis=0)
+        dx += merge(grad) @ params[name_w].T
+    return out, a, dx, grads
+
+
+def _maybe_strided(rng, shape, strided):
+    """A standard-normal array of ``shape``, as a transposed, non-contiguous
+    view when ``strided``."""
+    if not strided:
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape[::-1]).transpose(*range(len(shape) - 1, -1, -1))
+
+
+class TestKernelReferences:
+    """The in-place kernels against the formulas they replaced, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9)),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_softmax(self, seed, shape, scale):
+        logits = np.random.default_rng(seed).standard_normal(shape) * scale
+        assert softmax(logits).tobytes() == softmax_reference(logits).tobytes()
+
+    def test_softmax_special_values(self):
+        logits = np.array([[0.0, -0.0, 5e-324], [1e308, -1e308, 0.0], [-np.inf, 0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            assert softmax(logits).tobytes() == softmax_reference(logits).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 17)),
+        scale=st.floats(1e-3, 1e3),
+        offset=st.floats(-1e3, 1e3),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_layernorm(self, seed, shape, scale, offset, strided):
+        rng = np.random.default_rng(seed)
+        x = _maybe_strided(rng, shape, strided) * scale + offset
+        dy = _maybe_strided(rng, shape, strided)
+        ln = LayerNorm(shape[-1])
+        ln.params["gamma"][...] = rng.standard_normal(shape[-1])
+        ln.params["beta"][...] = rng.standard_normal(shape[-1])
+        out = ln.forward(x)
+        dx = ln.backward(dy)
+        ref = layernorm_reference(x, ln.params["gamma"], ln.params["beta"], ln.eps, dy)
+        assert out.tobytes() == ref[0].tobytes()
+        assert dx.tobytes() == ref[1].tobytes()
+        assert ln.grads["gamma"].tobytes() == ref[2].tobytes()
+        assert ln.grads["beta"].tobytes() == ref[3].tobytes()
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        p=st.integers(1, 9),
+        heads=st.integers(1, 3),
+        d_k=st.integers(1, 4),
+        scale=st.floats(1e-2, 1e2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_attention(self, seed, n, p, heads, d_k, scale):
+        rng = np.random.default_rng(seed)
+        dim = heads * d_k
+        layer = MultiHeadSelfAttention(dim, heads, rng)
+        for name in ("bq", "bk", "bv", "bo"):
+            layer.params[name][...] = rng.standard_normal(dim)
+        x = rng.standard_normal((n, p, dim)) * scale
+        dy = rng.standard_normal((n, p, dim))
+        out = layer.forward(x)
+        dx = layer.backward(dy)
+        ref_out, ref_a, ref_dx, ref_grads = attention_reference(layer.params, heads, x, dy)
+        assert out.tobytes() == ref_out.tobytes()
+        assert layer.last_attention.tobytes() == ref_a.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+        for name, grad in ref_grads.items():
+            assert layer.grads[name].tobytes() == grad.tobytes(), name
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        dims=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dense_forward(self, seed, lead, dims):
+        rng = np.random.default_rng(seed)
+        dense = Dense(dims[0], dims[1], rng)
+        dense.params["b"][...] = rng.standard_normal(dims[1])
+        x = rng.standard_normal((*lead, dims[0]))
+        ref = x @ dense.params["W"] + dense.params["b"]
+        assert dense.forward(x).tobytes() == ref.tobytes()
+
+
+class TestKernelAliasing:
+    """No kernel writes an array it was given or one it handed out before."""
+
+    @given(seed=st.integers(0, 2**31 - 1), shape=st.tuples(st.integers(1, 4), st.integers(1, 6)))
+    @settings(max_examples=50, deadline=None)
+    def test_softmax_leaves_logits_unchanged(self, seed, shape):
+        logits = np.random.default_rng(seed).standard_normal(shape)
+        before = logits.copy()
+        out = softmax(logits)
+        assert logits.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, logits)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        p=st.integers(1, 6),
+        dim=st.integers(1, 6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_forward_and_backward_write_only_their_results(self, seed, n, p, dim):
+        rng = np.random.default_rng(seed)
+        layers = [Dense(dim, dim + 1, rng), LayerNorm(dim), GELU(), MultiHeadSelfAttention(dim, 1, rng)]
+        if dim % 2 == 0:
+            layers.append(MultiHeadSelfAttention(dim, 2, rng))
+        for layer in layers:
+            name = type(layer).__name__
+            x = rng.standard_normal((n, p, dim))
+            x_before = x.copy()
+            out = layer.forward(x)
+            assert x.tobytes() == x_before.tobytes(), name
+            out_before = out.copy()
+            attention = getattr(layer, "last_attention", None)
+            attention_before = None if attention is None else attention.copy()
+            dy = rng.standard_normal(out.shape)
+            dy_before = dy.copy()
+            # Sensitivity probes run several backward passes per forward.
+            dx_first = layer.backward(dy)
+            dx_second = layer.backward(dy)
+            assert dx_first.tobytes() == dx_second.tobytes(), name
+            for arr in (x, out, dy, attention):
+                if arr is not None:
+                    assert not np.shares_memory(dx_first, arr), name
+            assert x.tobytes() == x_before.tobytes(), name
+            assert out.tobytes() == out_before.tobytes(), name
+            assert dy.tobytes() == dy_before.tobytes(), name
+            if attention is not None:
+                assert layer.last_attention is attention, name
+                assert attention.tobytes() == attention_before.tobytes(), name
 
 
 class TestConv2DReference:
