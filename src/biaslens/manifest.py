@@ -2,6 +2,7 @@
 
 A manifest is a JSONL file: one annotation record per line, optionally
 preceded by a header line declaring extra taxonomy labels and the seed.
+Blank lines are skipped, and a record's numbers must load exactly as written.
 All types are immutable; operations are pure functions.
 """
 
@@ -22,6 +23,13 @@ class Condition(Enum):
     WEATHER = "Weather"
     ROTATED = "Rotated"
     MIXED = "Mixed"
+
+
+_CONDITIONS = {c.value: c for c in Condition}
+
+# The default decoder and encoder, configured as json.loads and json.dumps use them.
+_DECODER = json.JSONDecoder()
+_ENCODER = json.JSONEncoder()
 
 
 class ManifestError(ValueError):
@@ -77,21 +85,30 @@ class AnnotationRecord:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "AnnotationRecord":
         try:
-            condition = Condition(obj["condition"])
-        except ValueError:
-            raise ManifestError(f"unknown condition {obj.get('condition')!r}") from None
-        except KeyError:
-            raise ManifestError("missing key 'condition'") from None
+            condition = _CONDITIONS[obj["condition"]]
+        except (KeyError, TypeError):
+            try:
+                condition = Condition(obj["condition"])
+            except ValueError:
+                raise ManifestError(f"unknown condition {obj.get('condition')!r}") from None
+            except KeyError:
+                raise ManifestError("missing key 'condition'") from None
         try:
-            bbox = tuple(float(v) for v in obj["bbox"])
-            size = tuple(int(v) for v in obj["image_size"])
+            raw_bbox = tuple(obj["bbox"])
+            bbox = tuple(map(float, raw_bbox))
+            raw_size = tuple(obj["image_size"])
+            size = tuple(map(int, raw_size))
+            # a value that coercion changes (4.9 -> 4, "1e0" -> 1.0) is rejected
+            exact = bbox == raw_bbox and size == raw_size
         except KeyError as exc:
             raise ManifestError(f"missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
             raise ManifestError(
                 f"bbox and image_size must be lists of numbers, got "
                 f"{obj.get('bbox')!r} and {obj.get('image_size')!r}"
-            ) from None
+            )
         image_ref = obj.get("image_ref")
         if image_ref is not None and not isinstance(image_ref, str):
             raise ManifestError(f"image_ref must be a string, got {image_ref!r}")
@@ -101,12 +118,7 @@ class AnnotationRecord:
             raise ManifestError(f"image_size must have 2 elements, got {len(size)}")
         try:
             return cls(
-                sample_id=str(obj["sample_id"]),
-                class_label=str(obj["class_label"]),
-                bbox=bbox,  # type: ignore[arg-type]
-                condition=condition,
-                image_size=size,  # type: ignore[arg-type]
-                image_ref=image_ref,
+                str(obj["sample_id"]), str(obj["class_label"]), bbox, condition, size, image_ref
             )
         except KeyError as exc:
             raise ManifestError(f"missing key {exc.args[0]!r}") from None
@@ -151,42 +163,47 @@ class ClassDistribution:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse a JSONL manifest file.
+    """Parse a JSONL manifest file, one line at a time.
 
-    An optional first line without a ``sample_id`` key is treated as a
-    header declaring ``taxonomy`` (list of labels) and ``seed``.
+    Blank lines are skipped. An optional header, the first non-blank line
+    when it has no ``sample_id`` key, declares ``taxonomy`` (list of labels)
+    and ``seed``.
 
     Raises ManifestError with the 1-based line number on malformed lines.
     """
     path = Path(path)
     records: list[AnnotationRecord] = []
+    from_json_dict = AnnotationRecord.from_json_dict
+    raw_decode = _DECODER.raw_decode
     header_taxonomy: set[str] = set()
     seed = 0
+    header_allowed = True
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                try:
+                    obj, end = raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    # json.loads of the stripped line raises the same error
+                    obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ManifestError(
                     f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
                 )
-            if lineno == 1 and "sample_id" not in obj:
-                taxonomy = obj.get("taxonomy", [])
-                if not (isinstance(taxonomy, list) and all(isinstance(t, str) for t in taxonomy)):
-                    raise ManifestError(f"{path}:{lineno}: header taxonomy must be a list of labels")
-                try:
-                    seed = int(obj.get("seed", 0))
-                except (TypeError, ValueError, OverflowError):
-                    raise ManifestError(f"{path}:{lineno}: header seed must be an integer") from None
-                header_taxonomy = set(taxonomy)
-                continue
+            if header_allowed:
+                header_allowed = False
+                if "sample_id" not in obj:
+                    header_taxonomy, seed = _parse_header(obj, f"{path}:{lineno}")
+                    continue
             try:
-                records.append(AnnotationRecord.from_json_dict(obj))
+                records.append(from_json_dict(obj))
             except ManifestError as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from None
     return DatasetManifest(
@@ -196,19 +213,30 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     )
 
 
+def _parse_header(obj: dict, where: str) -> tuple[set[str], int]:
+    taxonomy = obj.get("taxonomy", [])
+    if not (isinstance(taxonomy, list) and all(isinstance(t, str) for t in taxonomy)):
+        raise ManifestError(f"{where}: header taxonomy must be a list of labels")
+    try:
+        seed = int(obj.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ManifestError(f"{where}: header seed must be an integer") from None
+    return set(taxonomy), seed
+
+
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    """Write a manifest as JSONL (header line + one record per line).
+    """Write a manifest as JSONL (header line + one record per line), streamed.
 
     Numeric fields round-trip bit-exactly: json emits the shortest repr
     that parses back to the same IEEE-754 double.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    encode = _ENCODER.encode
     with path.open("w", encoding="utf-8") as fh:
         header = {"taxonomy": sorted(manifest.taxonomy), "seed": manifest.seed}
-        fh.write(json.dumps(header) + "\n")
-        for record in manifest.records:
-            fh.write(json.dumps(record.to_json_dict()) + "\n")
+        fh.write(encode(header) + "\n")
+        fh.writelines(encode(record.to_json_dict()) + "\n" for record in manifest.records)
 
 
 def compute_distribution(manifest: DatasetManifest) -> ClassDistribution:

@@ -144,6 +144,19 @@ class TestMalformedInputExitsOne:
         assert code == 1
         assert f"{path}:2: bbox and image_size must be lists of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("image_size", [4.9, 4]), ("image_size", ["8", 8]), ("bbox", ["1e0", 0, 4, 4])],
+    )
+    def test_number_that_coercion_would_change(self, tmp_path, capsys, field, value):
+        record = {
+            "sample_id": "s0", "class_label": "disk", "bbox": [0, 0, 4, 4],
+            "condition": "Normal", "image_size": [8, 8],
+        }
+        path, code = self._analyze(tmp_path, [json.dumps(record), json.dumps({**record, field: value})])
+        assert code == 1
+        assert f"{path}:2: bbox and image_size must be lists of numbers" in capsys.readouterr().err
+
     def _heatmap(self, tmp_path, data: bytes):
         path = tmp_path / "m.snapshot"
         path.write_bytes(data)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,47 @@ class TestLoadManifest:
         assert "vehicle.truck" in manifest.taxonomy
         assert "disk" in manifest.taxonomy  # observed labels always union in
 
+    def test_header_is_the_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        header = {"taxonomy": ["a"], "seed": 3}
+        path.write_text(
+            "\n  \n" + json.dumps(header) + "\n" + json.dumps(make_record().to_json_dict()) + "\n",
+            encoding="utf-8",
+        )
+        manifest = load_manifest(path)
+        assert manifest.seed == 3
+        assert manifest.taxonomy == {"a", "disk"}
+        assert manifest.records == (make_record(),)
+
+    def test_header_after_a_record_is_a_record(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        lines = [make_record().to_json_dict(), {"taxonomy": ["a"], "seed": 3}]
+        path.write_text("".join(json.dumps(v) + "\n" for v in lines), encoding="utf-8")
+        with pytest.raises(ManifestError, match=":2: missing key 'condition'"):
+            load_manifest(path)
+
+    def test_integer_bbox_loads_as_floats(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        record = dict(make_record().to_json_dict(), bbox=[0, 0, 10, 10], image_size=[32.0, 32])
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (loaded,) = load_manifest(path).records
+        assert loaded.bbox == (0.0, 0.0, 10.0, 10.0)
+        assert all(type(v) is float for v in loaded.bbox)
+        assert loaded.image_size == (32, 32)
+        assert all(type(v) is int for v in loaded.image_size)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("image_size", [4.9, 4]), ("image_size", [True, "8"]), ("bbox", ["1e0", 0, 4, 4]),
+         ("bbox", "1234"), ("bbox", [0, 0, 4, 2**53 + 1])],
+    )
+    def test_number_that_coercion_would_change_is_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        record = dict(make_record().to_json_dict(), **{field: value})
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=":1: bbox and image_size must be lists of numbers"):
+            load_manifest(path)
+
 
 # Objects shaped like a record whose fields hold any JSON value.
 RECORD_LIKE = st.fixed_dictionaries(
@@ -160,6 +202,199 @@ class TestLoadManifestFuzz:
         with pytest.raises(ManifestError, match=message) as info:
             load_manifest(path)
         assert str(info.value).startswith(f"{path}:1:")
+
+
+def _reference_record(obj) -> AnnotationRecord:
+    """The record builder before the fast path, plus the exact-number rule."""
+    try:
+        condition = Condition(obj["condition"])
+    except ValueError:
+        raise ManifestError(f"unknown condition {obj.get('condition')!r}") from None
+    except KeyError:
+        raise ManifestError("missing key 'condition'") from None
+    try:
+        bbox = tuple(float(v) for v in obj["bbox"])
+        size = tuple(int(v) for v in obj["image_size"])
+    except KeyError as exc:
+        raise ManifestError(f"missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        bbox = None
+    if bbox is None or bbox != tuple(obj["bbox"]) or size != tuple(obj["image_size"]):
+        raise ManifestError(
+            f"bbox and image_size must be lists of numbers, got "
+            f"{obj.get('bbox')!r} and {obj.get('image_size')!r}"
+        )
+    image_ref = obj.get("image_ref")
+    if image_ref is not None and not isinstance(image_ref, str):
+        raise ManifestError(f"image_ref must be a string, got {image_ref!r}")
+    if len(bbox) != 4:
+        raise ManifestError(f"bbox must have 4 elements, got {len(bbox)}")
+    if len(size) != 2:
+        raise ManifestError(f"image_size must have 2 elements, got {len(size)}")
+    try:
+        return AnnotationRecord(
+            sample_id=str(obj["sample_id"]),
+            class_label=str(obj["class_label"]),
+            bbox=bbox,
+            condition=condition,
+            image_size=size,
+            image_ref=image_ref,
+        )
+    except KeyError as exc:
+        raise ManifestError(f"missing key {exc.args[0]!r}") from None
+
+
+def _reference_load(path) -> DatasetManifest:
+    """The line-by-line reader before the fast path: json.loads per line, with
+    the header taken from the first non-blank line."""
+    records = []
+    header_taxonomy: set[str] = set()
+    seed = 0
+    seen_line = False
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ManifestError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            first, seen_line = not seen_line, True
+            if first and "sample_id" not in obj:
+                taxonomy = obj.get("taxonomy", [])
+                if not (isinstance(taxonomy, list) and all(isinstance(t, str) for t in taxonomy)):
+                    raise ManifestError(f"{path}:{lineno}: header taxonomy must be a list of labels")
+                try:
+                    seed = int(obj.get("seed", 0))
+                except (TypeError, ValueError, OverflowError):
+                    raise ManifestError(f"{path}:{lineno}: header seed must be an integer") from None
+                header_taxonomy = set(taxonomy)
+                continue
+            try:
+                records.append(_reference_record(obj))
+            except ManifestError as exc:
+                raise ManifestError(f"{path}:{lineno}: {exc}") from None
+    return DatasetManifest(records=tuple(records), taxonomy=frozenset(header_taxonomy), seed=seed)
+
+
+def _reference_write(manifest: DatasetManifest, path) -> None:
+    """The writer before the fast path: one json.dumps and one write per line."""
+    with path.open("w", encoding="utf-8") as fh:
+        header = {"taxonomy": sorted(manifest.taxonomy), "seed": manifest.seed}
+        fh.write(json.dumps(header) + "\n")
+        for record in manifest.records:
+            fh.write(json.dumps(record.to_json_dict()) + "\n")
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ManifestError as exc:
+        return str(exc)
+
+
+@st.composite
+def valid_records(draw) -> AnnotationRecord:
+    """Any valid record: finite coordinates inside the frame, bbox values
+    plain floats, ints or np.float64, non-ASCII text, image_ref or none."""
+    w, h = draw(st.integers(1, 4000)), draw(st.integers(1, 4000))
+    x1, x2 = sorted(draw(st.lists(st.floats(0, w), min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(st.floats(0, h), min_size=2, max_size=2, unique=True)))
+    kind = draw(st.sampled_from([float, int, np.float64]))
+    if kind is int and not all(v.is_integer() for v in (x1, y1, x2, y2)):
+        kind = float
+    bbox = tuple(map(kind, (x1, y1, x2, y2)))
+    return AnnotationRecord(
+        sample_id=draw(st.text(max_size=8)),
+        class_label=draw(st.text(min_size=1, max_size=8)),
+        bbox=bbox,
+        condition=draw(st.sampled_from(Condition)),
+        image_size=(w, h),
+        image_ref=draw(st.none() | st.text(max_size=8)),
+    )
+
+
+MANIFESTS = st.builds(
+    lambda records, taxonomy, seed: DatasetManifest(
+        records=tuple(records), taxonomy=frozenset(taxonomy), seed=seed
+    ),
+    st.lists(valid_records(), max_size=6),
+    st.lists(st.text(max_size=4), max_size=3),
+    st.integers(),
+)
+
+# Lines of a JSON-shaped manifest: blank lines, records, headers, anything.
+JSON_LINES = st.lists(
+    st.just("")
+    | st.just("  \t")
+    | valid_records().map(lambda r: json.dumps(r.to_json_dict()))
+    | (JSON_VALUES | RECORD_LIKE).map(json.dumps),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestReaderWriterEquivalence:
+    """The streamed fast reader and writer against the plain per-line ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_any_bytes_read_as_the_reference_reads_them(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "eq.jsonl"
+        path.write_bytes(data)
+        assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_LINES, st.sampled_from(["\n", "\r\n"]))
+    def test_any_json_lines_read_as_the_reference_reads_them(self, tmp_path_factory, lines, eol):
+        path = tmp_path_factory.getbasetemp() / "eq.jsonl"
+        path.write_bytes("".join(line + eol for line in lines).encode("utf-8"))
+        assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MANIFESTS)
+    def test_writer_bytes_match_the_reference_and_round_trip(self, tmp_path_factory, manifest):
+        path = tmp_path_factory.getbasetemp() / "w.jsonl"
+        reference = tmp_path_factory.getbasetemp() / "w_ref.jsonl"
+        write_manifest(manifest, path)
+        _reference_write(manifest, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert load_manifest(path) == manifest
+
+
+class TestStreamedIO:
+    def test_load_and_write_hold_less_than_half_the_file(self, tmp_path):
+        records = [
+            make_record(
+                sample_id=f"s{i:05d}",
+                class_label=("car", "bus", "bicycle")[i % 3],
+                bbox=(i % 97 + 0.25, i % 89 + 0.5, 200.0 + i % 101, 150.0 + i % 83),
+                condition=list(Condition)[i % 5],
+                image_size=(1600, 900),
+                image_ref=f"img/{i:05d}.pgm",
+            )
+            for i in range(5000)
+        ]
+        manifest = DatasetManifest(records=tuple(records), seed=7)
+        path = tmp_path / "m.jsonl"
+        tracemalloc.start()
+        try:
+            write_manifest(manifest, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_manifest(path)
+            retained, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert loaded == manifest
+        assert write_peak < size / 2, (write_peak, size)
+        assert load_peak - retained < size / 2, (load_peak - retained, size)
 
 
 class TestComputeDistribution:
