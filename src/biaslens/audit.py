@@ -8,6 +8,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,7 +50,7 @@ from .losses import ClassWeights, compute_class_weights, dynamic_weight_adjust, 
 from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
-from .nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, stratified_split, train
+from .nn.train import ArrayDataset, LossFn, TrainConfig, _forward_pass, evaluate, stratified_split, train
 from .sampling import ResamplePlan, _combined_rows
 from .synthetic import SyntheticData
 
@@ -389,6 +390,14 @@ def _build_audit_model(options: AuditOptions, n_classes: int):
     return build_model(arch, seed=options.seed)
 
 
+def _weighted_loss(weights: ClassWeights | None, class_order) -> LossFn | None:
+    """Cross-entropy weighted per class in ``class_order``; None (``train``'s
+    unweighted default) without weights."""
+    if weights is None:
+        return None
+    return partial(weighted_ce_from_logits, weights=weights.as_vector(class_order))
+
+
 def _train_once(
     options: AuditOptions,
     train_data: ArrayDataset,
@@ -402,15 +411,8 @@ def _train_once(
         with_sensitivity=options.track_sensitivity,
         sensitivity_samples=options.sensitivity_samples,
     )
-    if weights is not None:
-        w_vec = weights.as_vector(train_data.class_order)
-
-        def loss_fn(logits, labels):
-            return weighted_ce_from_logits(logits, labels, w_vec)
-
-    else:
-        loss_fn = None
     cfg = options.train.with_seed(options.seed)
+    loss_fn = _weighted_loss(weights, train_data.class_order)
     snapshot, trace = train(
         model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.hook()
     )

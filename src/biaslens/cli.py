@@ -1,10 +1,10 @@
-"""Command-line surface binding the toolkit: dataset analysis, resampling,
-augmentation, training, bias audits, mitigation, weight recalibration,
-report rendering, and attention/relevance heatmaps.
+"""The ``biaslens`` command line; ``DESCRIPTION`` is its ``--help`` text.
 
-Every subcommand writes only under ``--out`` and stores its fully-resolved
-configuration next to its outputs. Exit codes: 0 success, 1 validation
-error, 2 runtime failure.
+Every flag is one ``Flag`` row holding its flag, type, default, help and
+choices or action: in ``COMMON``, in one of the ``GROUPS`` or in a
+``SUBCOMMANDS`` entry. The parser, ``--help``, each subcommand's defaults and
+the type check of ``--config`` files are all derived from those rows, so a
+new flag is one row of the table.
 """
 
 from __future__ import annotations
@@ -15,34 +15,34 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from .audit import (
     AuditOptions,
     BiasReport,
     Strategy,
+    _build_audit_model,
+    _weighted_loss,
     canonical_json,
     recalibration_loop,
     run_audit,
     run_mitigation,
 )
 from .augment import attention_guided_augment_plan, materialize_plan
-from .behavior import extract_attention, lrp_propagate, mass_by_cell
+from .behavior import export_heatmap, extract_attention, lrp_propagate, mass_by_cell
 from .detmetrics import write_metrics_csv
-from .losses import compute_class_weights, weighted_ce_from_logits
+from .losses import compute_class_weights
 from .manifest import (
     DatasetManifest,
     compute_distribution,
     load_manifest,
     write_manifest,
 )
-from .nn.models import build_model
 from .nn.snapshot import load_snapshot, model_from_snapshot
 from .nn.train import TrainConfig, train
 from .nn.optim import schedule_from_config
 from .pgm import write_pgm
-from .sampling import ResampleMode, ResamplePlan, apply_resample
+from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
 from .synthetic import (
     SyntheticConfig,
     SyntheticData,
@@ -53,112 +53,18 @@ from .synthetic import (
 
 ENV_SEED = "BIASLENS_SEED"
 
+DESCRIPTION = """Command-line surface binding the toolkit: dataset analysis, resampling,
+augmentation, training, bias audits, mitigation, weight recalibration,
+report rendering, and attention/relevance heatmaps.
+
+Every subcommand writes only under ``--out`` and stores its fully-resolved
+configuration next to its outputs. Exit codes: 0 success, 1 validation
+error, 2 runtime failure.
+"""
+
 
 class CLIError(ValueError):
     """A problem with flags, config keys, or input files (exit code 1)."""
-
-
-# ---------------------------------------------------------------------------
-# defaults: one source of truth per flag group; --help renders these and the
-# config-file loader validates unknown keys against them.
-
-COMMON_DEFAULTS = {"seed": None, "jobs": 1}
-DATA_DEFAULTS = {
-    "synthetic": None,
-    "n_samples": 600,
-    "image_size": 32,
-    "manifest": None,
-    "images_root": None,
-}
-MODEL_DEFAULTS = {
-    "model": "tiny_cnn",
-    "channels": "8,16",
-    "kernel": 3,
-    "patch": 8,
-    "dim": 32,
-    "heads": 4,
-    "layers": 4,
-    "mlp_ratio": 2.0,
-}
-TRAIN_DEFAULTS = {
-    "learning_rate": 1e-3,
-    "batch_size": 32,
-    "epochs": 10,
-    "weight_decay": 1e-4,
-    "dropout": 0.0,
-    "lr_schedule": "constant",
-    "box_loss_weight": 1.0,
-}
-AUDIT_DEFAULTS = {
-    "split": "0.7,0.15,0.15",
-    "iou_threshold": 0.5,
-    "probe_per_class": 32,
-    "sensitivity_samples": 16,
-    "tau_att": 0.3,
-    "kappa": 1.0,
-    "tau_rel": 0.5,
-    "eta": 0.5,
-    "target_recall": None,
-    "max_iterations": 10,
-    "epsilon_gap": 0.05,
-    "fn_threshold": -0.02,
-    "ap_threshold": 0.01,
-    "track_sensitivity": False,
-}
-
-SUBCOMMAND_DEFAULTS: dict[str, dict] = {
-    "analyze": {**COMMON_DEFAULTS, "manifest": None},
-    "resample": {**COMMON_DEFAULTS, "manifest": None, "mode": "Combined", "target": []},
-    "augment": {
-        **COMMON_DEFAULTS,
-        "manifest": None,
-        "images_root": None,
-        "snapshot": None,
-        "tau_att": AUDIT_DEFAULTS["tau_att"],
-        "kappa": AUDIT_DEFAULTS["kappa"],
-    },
-    "train": {
-        **COMMON_DEFAULTS,
-        **DATA_DEFAULTS,
-        **MODEL_DEFAULTS,
-        **TRAIN_DEFAULTS,
-        "weighted": False,
-    },
-    "audit": {
-        **COMMON_DEFAULTS,
-        **DATA_DEFAULTS,
-        **MODEL_DEFAULTS,
-        **TRAIN_DEFAULTS,
-        **AUDIT_DEFAULTS,
-        "seeds": None,
-    },
-    "mitigate": {
-        **COMMON_DEFAULTS,
-        **DATA_DEFAULTS,
-        **MODEL_DEFAULTS,
-        **TRAIN_DEFAULTS,
-        **AUDIT_DEFAULTS,
-        "seeds": None,
-        "strategy": "Combined",
-    },
-    "recalibrate": {
-        **COMMON_DEFAULTS,
-        **DATA_DEFAULTS,
-        **MODEL_DEFAULTS,
-        **TRAIN_DEFAULTS,
-        **AUDIT_DEFAULTS,
-    },
-    "report": {"run_dir": None},
-    "heatmap": {
-        **COMMON_DEFAULTS,
-        **DATA_DEFAULTS,
-        "snapshot": None,
-        "sample_id": None,
-        "index": 0,
-        "layer": -1,
-        "source": "attention",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -181,158 +87,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# parser construction
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        raise CLIError(message)
-
-
-def _opt(parser: argparse.ArgumentParser, flag: str, default, **kwargs) -> None:
-    """Register a flag whose absence is detectable (SUPPRESS) while the
-    documented default still shows in --help."""
-    help_text = kwargs.pop("help", "")
-    if default is not None and kwargs.get("action") != "store_true":
-        help_text = f"{help_text} (default: {default})"
-    elif kwargs.get("action") == "store_true":
-        help_text = f"{help_text} (default: off)"
-    parser.add_argument(flag, default=argparse.SUPPRESS, help=help_text, **kwargs)
-
-
-def _add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
-    if with_out:
-        p.add_argument("--out", required=True, help="output directory (all artifacts go here)")
-    _opt(p, "--config", None, help="JSON config file; flags override file values")
-    _opt(p, "--seed", None, type=int, help=f"base seed; falls back to ${ENV_SEED}, then 0")
-    _opt(p, "--jobs", COMMON_DEFAULTS["jobs"], type=int, help="parallel workers for multi-seed runs")
-
-
-def _add_data(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("data source")
-    _opt(g, "--synthetic", None, help='generated dataset spec: "balanced" or e.g. "imbalanced-90-5-5"')
-    _opt(g, "--n-samples", DATA_DEFAULTS["n_samples"], type=int, dest="n_samples", help="synthetic sample count")
-    _opt(g, "--image-size", DATA_DEFAULTS["image_size"], type=int, dest="image_size", help="synthetic square image side")
-    _opt(g, "--manifest", None, help="annotation manifest (JSONL) instead of --synthetic")
-    _opt(g, "--images-root", None, dest="images_root", help="root directory for manifest image refs")
-
-
-def _add_model(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("model")
-    _opt(g, "--model", MODEL_DEFAULTS["model"], choices=("tiny_cnn", "tiny_vit"), help="architecture")
-    _opt(g, "--channels", MODEL_DEFAULTS["channels"], help="CNN conv channels, comma-separated pair")
-    _opt(g, "--kernel", MODEL_DEFAULTS["kernel"], type=int, help="CNN conv kernel size")
-    _opt(g, "--patch", MODEL_DEFAULTS["patch"], type=int, help="ViT patch side")
-    _opt(g, "--dim", MODEL_DEFAULTS["dim"], type=int, help="ViT embedding width")
-    _opt(g, "--heads", MODEL_DEFAULTS["heads"], type=int, help="ViT attention heads")
-    _opt(g, "--layers", MODEL_DEFAULTS["layers"], type=int, help="ViT transformer blocks")
-    _opt(g, "--mlp-ratio", MODEL_DEFAULTS["mlp_ratio"], type=float, dest="mlp_ratio", help="ViT MLP width ratio")
-
-
-def _add_train(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("training")
-    _opt(g, "--learning-rate", TRAIN_DEFAULTS["learning_rate"], type=float, dest="learning_rate", help="Adam base learning rate")
-    _opt(g, "--batch-size", TRAIN_DEFAULTS["batch_size"], type=int, dest="batch_size", help="minibatch size")
-    _opt(g, "--epochs", TRAIN_DEFAULTS["epochs"], type=int, help="training epochs")
-    _opt(g, "--weight-decay", TRAIN_DEFAULTS["weight_decay"], type=float, dest="weight_decay", help="L2 decay on matrix/kernel parameters")
-    _opt(g, "--dropout", TRAIN_DEFAULTS["dropout"], type=float, help="dropout rate (ViT blocks and embeddings)")
-    _opt(g, "--lr-schedule", TRAIN_DEFAULTS["lr_schedule"], choices=("constant", "step", "linear"), dest="lr_schedule", help="learning-rate schedule")
-    _opt(g, "--box-loss-weight", TRAIN_DEFAULTS["box_loss_weight"], type=float, dest="box_loss_weight", help="box regression loss scale")
-
-
-def _add_audit(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("audit")
-    _opt(g, "--split", AUDIT_DEFAULTS["split"], help="train/val/test fractions, comma-separated")
-    _opt(g, "--iou-threshold", AUDIT_DEFAULTS["iou_threshold"], type=float, dest="iou_threshold", help="detection match IoU threshold")
-    _opt(g, "--probe-per-class", AUDIT_DEFAULTS["probe_per_class"], type=int, dest="probe_per_class", help="probe samples per class for behavior scores")
-    _opt(g, "--sensitivity-samples", AUDIT_DEFAULTS["sensitivity_samples"], type=int, dest="sensitivity_samples", help="samples per class for gradient sensitivity")
-    _opt(g, "--tau-att", AUDIT_DEFAULTS["tau_att"], type=float, dest="tau_att", help="attention-mass threshold for augmentation")
-    _opt(g, "--kappa", AUDIT_DEFAULTS["kappa"], type=float, help="augmentation volume scale")
-    _opt(g, "--tau-rel", AUDIT_DEFAULTS["tau_rel"], type=float, dest="tau_rel", help="in-box relevance threshold for duplication")
-    _opt(g, "--eta", AUDIT_DEFAULTS["eta"], type=float, help="weight recalibration step size")
-    _opt(g, "--target-recall", None, type=float, dest="target_recall", help="recall target for recalibration (default: best observed)")
-    _opt(g, "--max-iterations", AUDIT_DEFAULTS["max_iterations"], type=int, dest="max_iterations", help="recalibration iteration cap")
-    _opt(g, "--epsilon-gap", AUDIT_DEFAULTS["epsilon_gap"], type=float, dest="epsilon_gap", help="recall gap declaring convergence")
-    _opt(g, "--fn-threshold", AUDIT_DEFAULTS["fn_threshold"], type=float, dest="fn_threshold", help="FN-rate delta for an 'improved' verdict")
-    _opt(g, "--ap-threshold", AUDIT_DEFAULTS["ap_threshold"], type=float, dest="ap_threshold", help="AP delta for an 'improved' verdict")
-    _opt(g, "--track-sensitivity", False, action="store_true", dest="track_sensitivity", help="also track gradient sensitivity per epoch")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="biaslens", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-
-    p = subs.add_parser("analyze", help="class/condition distribution of a manifest", description="Write the class distribution (JSON + CSV) of an annotation manifest.")
-    p.add_argument("--manifest", required=True, help="annotation manifest (JSONL)")
-    _add_common(p)
-
-    p = subs.add_parser("resample", help="over/under/combined resampling of a manifest", description="Resample a manifest to target per-class counts and write the new manifest plus the plan.")
-    p.add_argument("--manifest", required=True, help="annotation manifest (JSONL)")
-    _opt(p, "--mode", "Combined", choices=[m.value for m in ResampleMode], help="resampling mode")
-    _opt(p, "--target", [], action="append", metavar="CLASS=COUNT", help="per-class target count, repeatable (default: equalize)")
-    _add_common(p)
-
-    p = subs.add_parser("augment", help="attention-guided augmentation plan + samples", description="Plan and materialize augmentations for (class, condition) cells a ViT underattends; writes only the new samples.")
-    p.add_argument("--manifest", required=True, help="annotation manifest (JSONL)")
-    p.add_argument("--images-root", required=True, dest="images_root", help="root directory for manifest image refs")
-    p.add_argument("--snapshot", required=True, help="trained tiny_vit snapshot")
-    _opt(p, "--tau-att", AUDIT_DEFAULTS["tau_att"], type=float, dest="tau_att", help="attention-mass threshold")
-    _opt(p, "--kappa", AUDIT_DEFAULTS["kappa"], type=float, help="augmentation volume scale")
-    _add_common(p)
-
-    p = subs.add_parser("train", help="train one model and save the snapshot", description="Train a model on a synthetic or manifest dataset; writes snapshot + metric trace.")
-    _add_data(p)
-    _add_model(p)
-    _add_train(p)
-    _opt(p, "--weighted", False, action="store_true", help="use inverse-frequency class weights in the loss")
-    _add_common(p)
-
-    p = subs.add_parser("audit", help="baseline bias audit (pre-mitigation report)", description="Train the unweighted baseline and write the pre-mitigation bias report.")
-    _add_data(p)
-    _add_model(p)
-    _add_train(p)
-    _add_audit(p)
-    _opt(p, "--seeds", None, help="comma-separated seed list for a multi-seed run")
-    _add_common(p)
-
-    p = subs.add_parser("mitigate", help="audit + mitigation + post report", description="Run the audit, apply a mitigation strategy, retrain, and write the pre+post report.")
-    _opt(p, "--strategy", "Combined", choices=[s.value for s in Strategy], help="mitigation strategy")
-    _add_data(p)
-    _add_model(p)
-    _add_train(p)
-    _add_audit(p)
-    _opt(p, "--seeds", None, help="comma-separated seed list for a multi-seed run")
-    _add_common(p)
-
-    p = subs.add_parser("recalibrate", help="iterative class-weight recalibration", description="Retrain with dynamically adjusted class weights until the recall gap closes.")
-    _add_data(p)
-    _add_model(p)
-    _add_train(p)
-    _add_audit(p)
-    _add_common(p)
-
-    p = subs.add_parser("report", help="render a stored report as text", description="Rebuild the human-readable summary from a run directory's report.json.")
-    p.add_argument("--run-dir", required=True, dest="run_dir", help="run directory containing report.json")
-    p.add_argument("--out", required=False, help="write report.txt here instead of stdout")
-
-    p = subs.add_parser("heatmap", help="attention or relevance heatmap for one sample", description="Export a patch-grid heatmap (PGM + CSV) of ViT attention mass or propagated relevance.")
-    p.add_argument("--snapshot", required=True, help="trained tiny_vit snapshot")
-    _add_data(p)
-    _opt(p, "--sample-id", None, dest="sample_id", help="sample to visualize (default: --index)")
-    _opt(p, "--index", 0, type=int, help="sample index when no --sample-id is given")
-    _opt(p, "--layer", -1, type=int, help="attention layer (-1 = final)")
-    _opt(p, "--source", "attention", choices=("attention", "relevance"), help="map to export")
-    _add_common(p)
-
-    return parser
-
-
-# ---------------------------------------------------------------------------
 # config resolution
-
-
-# Keys whose default is None take the type their flag parses to; str unless listed.
-_NULL_DEFAULT_KINDS = {"seed": int, "target_recall": float}
 
 
 def _is_kind(value, kind: type, nullable: bool) -> bool:
@@ -349,8 +104,8 @@ def _is_kind(value, kind: type, nullable: bool) -> bool:
 
 
 def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunConfig:
-    defaults = SUBCOMMAND_DEFAULTS[subcommand]
-    resolved = dict(defaults)
+    flags = SUBCOMMANDS[subcommand].config_flags()
+    resolved = SUBCOMMANDS[subcommand].defaults()
     config_path = explicit.pop("config", None)
     if config_path is not None:
         path = Path(config_path)
@@ -362,22 +117,21 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
             raise CLIError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise CLIError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(file_values) - set(defaults))
+        unknown = sorted(set(file_values) - set(flags))
         if unknown:
             raise CLIError(
                 f"config file {path}: unknown config keys for {subcommand!r}: "
                 f"{', '.join(unknown)}"
             )
         for key, value in file_values.items():
-            default = defaults[key]
-            kind = _NULL_DEFAULT_KINDS.get(key, str) if default is None else type(default)
-            if not _is_kind(value, kind, nullable=default is None):
+            flag = flags[key]
+            if not _is_kind(value, flag.kind, nullable=flag.default is None):
                 raise CLIError(
-                    f"config file {path}: {key} must be {kind.__name__}, got {value!r}"
+                    f"config file {path}: {key} must be {flag.kind.__name__}, got {value!r}"
                 )
         resolved.update(file_values)
     resolved.update(explicit)
-    if "seed" in defaults and resolved.get("seed") is None:
+    if "seed" in flags and resolved.get("seed") is None:
         env = os.environ.get(ENV_SEED)
         if env is not None:
             try:
@@ -393,27 +147,25 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
     )
 
 
-def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
+def _parse_tuple(text: str, flag: str, kind: type = int) -> tuple:
     try:
-        return tuple(int(v) for v in str(text).split(","))
+        return tuple(kind(v) for v in str(text).split(","))
     except ValueError:
-        raise CLIError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise CLIError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
 
 
-def _parse_float_tuple(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError:
-        raise CLIError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+def _load_manifest(cfg: RunConfig) -> DatasetManifest:
+    path = Path(cfg.values["manifest"])
+    if not path.exists():
+        raise CLIError(f"manifest file not found: {path}")
+    return load_manifest(path)
 
 
 def _load_data(cfg: RunConfig) -> SyntheticData:
     v = cfg.values
     if v.get("manifest"):
-        manifest_path = Path(v["manifest"])
-        if not manifest_path.exists():
-            raise CLIError(f"manifest file not found: {manifest_path}")
-        manifest = load_manifest(manifest_path)
+        manifest = _load_manifest(cfg)
         root = v.get("images_root")
         if root is None:
             raise CLIError("--images-root is required when loading from --manifest")
@@ -439,7 +191,7 @@ def _arch_from_config(cfg: RunConfig, data: SyntheticData) -> dict:
     h, w = data.dataset.images.shape[2:]
     arch: dict = {"input_hw": (h, w)}
     if v["model"] == "tiny_cnn":
-        channels = _parse_int_tuple(v["channels"], "--channels")
+        channels = _parse_tuple(v["channels"], "--channels")
         if len(channels) != 2:
             raise CLIError(f"--channels expects two values, got {v['channels']!r}")
         arch.update({"channels": channels, "kernel": int(v["kernel"])})
@@ -472,7 +224,7 @@ def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
 
 def _audit_options(cfg: RunConfig, seed: int, data: SyntheticData) -> AuditOptions:
     v = cfg.values
-    split = _parse_float_tuple(v["split"], "--split")
+    split = _parse_tuple(v["split"], "--split", float)
     if len(split) != 3:
         raise CLIError(f"--split expects three fractions, got {v['split']!r}")
     return AuditOptions(
@@ -499,16 +251,13 @@ def _audit_options(cfg: RunConfig, seed: int, data: SyntheticData) -> AuditOptio
 
 def _seed_list(cfg: RunConfig) -> list[int]:
     if cfg.values.get("seeds"):
-        return list(_parse_int_tuple(cfg.values["seeds"], "--seeds"))
+        return list(_parse_tuple(cfg.values["seeds"], "--seeds"))
     return [int(cfg.values["seed"])]
 
 
 def _data_for_seed(cfg: RunConfig, seed: int) -> SyntheticData:
-    """Manifest data is fixed; synthetic data is regenerated per seed."""
-    if cfg.values.get("manifest"):
-        return _load_data(cfg)
-    per_seed = RunConfig(cfg.subcommand, cfg.out_dir, {**cfg.values, "seed": seed})
-    return _load_data(per_seed)
+    """Manifest data is fixed (it reads no seed); synthetic data is regenerated per seed."""
+    return _load_data(replace(cfg, values={**cfg.values, "seed": seed}))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +265,7 @@ def _data_for_seed(cfg: RunConfig, seed: int) -> SyntheticData:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    manifest_path = Path(cfg.values["manifest"])
-    if not manifest_path.exists():
-        raise CLIError(f"manifest file not found: {manifest_path}")
-    manifest = load_manifest(manifest_path)
-    dist = compute_distribution(manifest)
+    dist = compute_distribution(_load_manifest(cfg))
     cfg.write()
     out = cfg.out_dir
     (out / "distribution.json").write_text(
@@ -543,12 +288,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_resample(cfg: RunConfig) -> int:
-    manifest_path = Path(cfg.values["manifest"])
-    if not manifest_path.exists():
-        raise CLIError(f"manifest file not found: {manifest_path}")
-    manifest = load_manifest(manifest_path)
-    mode = ResampleMode(cfg.values["mode"])
-    counts = compute_distribution(manifest).counts
     targets: dict[str, int] = {}
     for item in cfg.values["target"]:
         if "=" not in item:
@@ -558,15 +297,18 @@ def cmd_resample(cfg: RunConfig) -> int:
             targets[name] = int(value)
         except ValueError:
             raise CLIError(f"--target count must be an integer, got {item!r}") from None
-    if not targets:
-        if mode is ResampleMode.OVERSAMPLE:
-            targets = {c: max(counts.values()) for c in counts}
-        elif mode is ResampleMode.UNDERSAMPLE:
-            targets = {c: min(counts.values()) for c in counts}
-        else:
-            targets = {c: int(np.median(sorted(counts.values()))) for c in counts}
-    plan = ResamplePlan(target_counts=targets, mode=mode, seed=int(cfg.values["seed"]))
-    resampled = apply_resample(manifest, plan)
+    mode = ResampleMode(cfg.values["mode"])
+    if targets and mode is ResampleMode.COMBINED:
+        raise CLIError("--target applies to Oversample and Undersample only; Combined equalizes at the median")
+    manifest = _load_manifest(cfg)
+    counts = compute_distribution(manifest).counts
+    seed = int(cfg.values["seed"])
+    if mode is ResampleMode.COMBINED:
+        resampled, plan = combined_resample(manifest, seed=seed)
+    else:
+        pick = max if mode is ResampleMode.OVERSAMPLE else min
+        plan = ResamplePlan(targets or {c: pick(counts.values()) for c in counts}, mode, seed)
+        resampled = apply_resample(manifest, plan)
     cfg.write()
     out = cfg.out_dir
     write_manifest(resampled, out / "resampled.jsonl")
@@ -594,11 +336,8 @@ def _load_model(cfg: RunConfig):
 
 
 def cmd_augment(cfg: RunConfig) -> int:
-    manifest_path = Path(cfg.values["manifest"])
-    if not manifest_path.exists():
-        raise CLIError(f"manifest file not found: {manifest_path}")
+    manifest = _load_manifest(cfg)
     model = _load_model(cfg)
-    manifest = load_manifest(manifest_path)
     data = dataset_from_manifest(manifest, cfg.values["images_root"])
     summary = extract_attention(
         model, data.dataset, conditions=[c.value for c in data.conditions]
@@ -632,19 +371,18 @@ def cmd_augment(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     seed = int(cfg.values["seed"])
     data = _load_data(cfg)
-    arch = {"kind": cfg.values["model"], "n_classes": len(data.dataset.class_order), **_arch_from_config(cfg, data)}
-    if cfg.values["model"] == "tiny_vit":
-        arch.setdefault("dropout", float(cfg.values["dropout"]))
-    model = build_model(arch, seed=seed)
-    loss_fn = None
+    options = AuditOptions(
+        model_kind=cfg.values["model"],
+        train=_train_config(cfg, seed),
+        seed=seed,
+        arch=_arch_from_config(cfg, data),
+    )
+    model = _build_audit_model(options, len(data.dataset.class_order))
+    weights = None
     if cfg.values["weighted"]:
         weights = compute_class_weights(compute_distribution(data.manifest))
-        w_vec = weights.as_vector(data.dataset.class_order)
-
-        def loss_fn(logits, labels):  # noqa: F811 - deliberate rebind
-            return weighted_ce_from_logits(logits, labels, w_vec)
-
-    snapshot, trace = train(model, data.dataset, _train_config(cfg, seed), loss_fn=loss_fn)
+    loss_fn = _weighted_loss(weights, data.dataset.class_order)
+    snapshot, trace = train(model, data.dataset, options.train, loss_fn=loss_fn)
     cfg.write()
     out = cfg.out_dir
     snapshot.save(out / "model.snapshot")
@@ -681,6 +419,8 @@ def _audit_one(payload: tuple) -> dict:
 
 
 def _run_seeds(cfg: RunConfig, strategy_name: str | None) -> list[dict]:
+    """Every seed's run under ``--out``, with the config and a summary.json."""
+    cfg.write()
     seeds = _seed_list(cfg)
     jobs = int(cfg.values["jobs"])
     payloads = [
@@ -691,32 +431,23 @@ def _run_seeds(cfg: RunConfig, strategy_name: str | None) -> list[dict]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_audit_one, payloads))
-    return [_audit_one(p) for p in payloads]
+            summaries = list(pool.map(_audit_one, payloads))
+    else:
+        summaries = [_audit_one(p) for p in payloads]
+    (cfg.out_dir / "summary.json").write_text(canonical_json(summaries) + "\n", encoding="utf-8")
+    return summaries
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    cfg.write()
-    summaries = _run_seeds(cfg, None)
-    for s in summaries:
+    for s in _run_seeds(cfg, None):
         print(f"seed {s['seed']}: accuracy {s['accuracy']:.4f} mAP {s['map']:.4f} -> {s['run_dir']}")
-    (cfg.out_dir / "summary.json").write_text(
-        canonical_json(summaries) + "\n", encoding="utf-8"
-    )
     return 0
 
 
 def cmd_mitigate(cfg: RunConfig) -> int:
-    cfg.write()
-    summaries = _run_seeds(cfg, cfg.values["strategy"])
-    for s in summaries:
+    for s in _run_seeds(cfg, cfg.values["strategy"]):
         verdicts = ", ".join(f"{c}={v}" for c, v in sorted(s["verdicts"].items()))
-        print(
-            f"seed {s['seed']}: accuracy {s['accuracy']:.4f} -> {s['post_accuracy']:.4f}; {verdicts}"
-        )
-    (cfg.out_dir / "summary.json").write_text(
-        canonical_json(summaries) + "\n", encoding="utf-8"
-    )
+        print(f"seed {s['seed']}: accuracy {s['accuracy']:.4f} -> {s['post_accuracy']:.4f}; {verdicts}")
     return 0
 
 
@@ -749,20 +480,24 @@ def cmd_report(cfg: RunConfig) -> int:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise CLIError(f"no report.json under {run_dir}")
-    obj = json.loads(report_path.read_text(encoding="utf-8"))
-    report = BiasReport(
-        dataset=obj["dataset"],
-        options=obj["options"],
-        seed=obj["seed"],
-        config_hash=obj["config_hash"],
-        pre=obj["pre"],
-        correlation=obj["correlation"],
-        post=obj.get("post"),
-        mitigation=obj.get("mitigation"),
-        deltas=obj.get("deltas"),
-        verdicts=obj.get("verdicts"),
-    )
-    text = report.text_summary()
+    # Not JSON, or JSON not shaped like a report: bad input, not a runtime failure.
+    try:
+        obj = json.loads(report_path.read_text(encoding="utf-8"))
+        report = BiasReport(
+            dataset=obj["dataset"],
+            options=obj["options"],
+            seed=obj["seed"],
+            config_hash=obj["config_hash"],
+            pre=obj["pre"],
+            correlation=obj["correlation"],
+            post=obj.get("post"),
+            mitigation=obj.get("mitigation"),
+            deltas=obj.get("deltas"),
+            verdicts=obj.get("verdicts"),
+        )
+        text = report.text_summary()
+    except (ValueError, RecursionError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise CLIError(f"{report_path} is not a readable report: {type(exc).__name__}: {exc}") from None
     if cfg.out_dir is not None:
         cfg.write()
         (cfg.out_dir / "report.txt").write_text(text, encoding="utf-8")
@@ -773,8 +508,6 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_heatmap(cfg: RunConfig) -> int:
-    from .behavior import export_heatmap
-
     model = _load_model(cfg)
     data = _load_data(cfg)
     sample_id = cfg.values.get("sample_id")
@@ -810,17 +543,223 @@ def cmd_heatmap(cfg: RunConfig) -> int:
     return 0
 
 
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "resample": cmd_resample,
-    "augment": cmd_augment,
-    "train": cmd_train,
-    "audit": cmd_audit,
-    "mitigate": cmd_mitigate,
-    "recalibrate": cmd_recalibrate,
-    "report": cmd_report,
-    "heatmap": cmd_heatmap,
+# ---------------------------------------------------------------------------
+# the flag table
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One CLI flag: how it parses, its --help line, and its default."""
+
+    flag: str
+    help: str
+    default: object = None
+    type: type = str
+    choices: tuple | None = None
+    action: str | None = None  # "store_true" or "append"
+    metavar: str | None = None
+    required: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def kind(self) -> type:
+        """What the flag parses to: the JSON type a config file may give its key."""
+        return {"store_true": bool, "append": list}.get(self.action, self.type)
+
+    def add_to(self, parser) -> None:
+        """Register the flag so that its absence is detectable (SUPPRESS)
+        while the documented default still shows in --help."""
+        help_text = self.help
+        if self.action == "store_true":
+            help_text += " (default: off)"
+        elif self.default is not None:
+            help_text += f" (default: {self.default})"
+        extra = {"type": self.type} if self.type is not str else {}
+        for name in ("choices", "action", "metavar"):
+            if getattr(self, name) is not None:
+                extra[name] = getattr(self, name)
+        parser.add_argument(
+            self.flag, default=argparse.SUPPRESS, required=self.required, help=help_text, **extra
+        )
+
+
+COMMON = (
+    Flag("--out", "output directory (all artifacts go here)", required=True),
+    Flag("--config", "JSON config file; flags override file values"),
+    Flag("--seed", f"base seed; falls back to ${ENV_SEED}, then 0", type=int),
+    Flag("--jobs", "parallel workers for multi-seed runs", 1, int),
+)
+# Keys that name no run setting, so a config file cannot set them.
+_NOT_CONFIG_KEYS = ("out", "config")
+
+_MANIFEST = Flag("--manifest", "annotation manifest (JSONL)", required=True)
+_IMAGES_ROOT = Flag("--images-root", "root directory for manifest image refs")
+_SNAPSHOT = Flag("--snapshot", "trained tiny_vit snapshot", required=True)
+_TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", 0.3, float)
+_KAPPA = Flag("--kappa", "augmentation volume scale", 1.0, float)
+_SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
+
+GROUPS: dict[str, tuple[Flag, ...]] = {
+    "data source": (
+        Flag("--synthetic", 'generated dataset spec: "balanced" or e.g. "imbalanced-90-5-5"'),
+        Flag("--n-samples", "synthetic sample count", 600, int),
+        Flag("--image-size", "synthetic square image side", 32, int),
+        Flag("--manifest", "annotation manifest (JSONL) instead of --synthetic"),
+        _IMAGES_ROOT,
+    ),
+    "model": (
+        Flag("--model", "architecture", "tiny_cnn", choices=("tiny_cnn", "tiny_vit")),
+        Flag("--channels", "CNN conv channels, comma-separated pair", "8,16"),
+        Flag("--kernel", "CNN conv kernel size", 3, int),
+        Flag("--patch", "ViT patch side", 8, int),
+        Flag("--dim", "ViT embedding width", 32, int),
+        Flag("--heads", "ViT attention heads", 4, int),
+        Flag("--layers", "ViT transformer blocks", 4, int),
+        Flag("--mlp-ratio", "ViT MLP width ratio", 2.0, float),
+    ),
+    "training": (
+        Flag("--learning-rate", "Adam base learning rate", 1e-3, float),
+        Flag("--batch-size", "minibatch size", 32, int),
+        Flag("--epochs", "training epochs", 10, int),
+        Flag("--weight-decay", "L2 decay on matrix/kernel parameters", 1e-4, float),
+        Flag("--dropout", "dropout rate (ViT blocks and embeddings)", 0.0, float),
+        Flag("--lr-schedule", "learning-rate schedule", "constant", choices=("constant", "step", "linear")),
+        Flag("--box-loss-weight", "box regression loss scale", 1.0, float),
+    ),
+    "audit": (
+        Flag("--split", "train/val/test fractions, comma-separated", "0.7,0.15,0.15"),
+        Flag("--iou-threshold", "detection match IoU threshold", 0.5, float),
+        Flag("--probe-per-class", "probe samples per class for behavior scores", 32, int),
+        Flag("--sensitivity-samples", "samples per class for gradient sensitivity", 16, int),
+        _TAU_ATT,
+        _KAPPA,
+        Flag("--tau-rel", "in-box relevance threshold for duplication", 0.5, float),
+        Flag("--eta", "weight recalibration step size", 0.5, float),
+        Flag("--target-recall", "recall target for recalibration (default: best observed)", type=float),
+        Flag("--max-iterations", "recalibration iteration cap", 10, int),
+        Flag("--epsilon-gap", "recall gap declaring convergence", 0.05, float),
+        Flag("--fn-threshold", "FN-rate delta for an 'improved' verdict", -0.02, float),
+        Flag("--ap-threshold", "AP delta for an 'improved' verdict", 0.01, float),
+        Flag("--track-sensitivity", "also track gradient sensitivity per epoch", False, action="store_true"),
+    ),
 }
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: its --help texts, its flags and flag groups in --help
+    order (a group is named by its ``GROUPS`` title), and what runs it."""
+
+    help: str
+    description: str
+    entries: tuple[Flag | str, ...]
+    run: Callable[[RunConfig], int]
+
+    def flags(self) -> list[Flag]:
+        return [f for e in self.entries for f in (GROUPS[e] if isinstance(e, str) else (e,))]
+
+    def config_flags(self) -> dict[str, Flag]:
+        """Key -> row of every flag a config file may set."""
+        return {f.key: f for f in self.flags() if f.key not in _NOT_CONFIG_KEYS}
+
+    def defaults(self) -> dict:
+        return {key: f.default for key, f in self.config_flags().items()}
+
+
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "analyze": Subcommand(
+        "class/condition distribution of a manifest",
+        "Write the class distribution (JSON + CSV) of an annotation manifest.",
+        (_MANIFEST, *COMMON),
+        cmd_analyze,
+    ),
+    "resample": Subcommand(
+        "over/under/combined resampling of a manifest",
+        "Resample a manifest to target per-class counts and write the new manifest plus the plan.",
+        (_MANIFEST,
+         Flag("--mode", "resampling mode", "Combined", choices=tuple(m.value for m in ResampleMode)),
+         Flag("--target", "per-class target count, repeatable (default: equalize)", [],
+              action="append", metavar="CLASS=COUNT"),
+         *COMMON),
+        cmd_resample,
+    ),
+    "augment": Subcommand(
+        "attention-guided augmentation plan + samples",
+        "Plan and materialize augmentations for (class, condition) cells a ViT underattends; "
+        "writes only the new samples.",
+        (_MANIFEST, replace(_IMAGES_ROOT, required=True), _SNAPSHOT,
+         replace(_TAU_ATT, help="attention-mass threshold"), _KAPPA, *COMMON),
+        cmd_augment,
+    ),
+    "train": Subcommand(
+        "train one model and save the snapshot",
+        "Train a model on a synthetic or manifest dataset; writes snapshot + metric trace.",
+        ("data source", "model", "training",
+         Flag("--weighted", "use inverse-frequency class weights in the loss", False, action="store_true"),
+         *COMMON),
+        cmd_train,
+    ),
+    "audit": Subcommand(
+        "baseline bias audit (pre-mitigation report)",
+        "Train the unweighted baseline and write the pre-mitigation bias report.",
+        ("data source", "model", "training", "audit", _SEEDS, *COMMON),
+        cmd_audit,
+    ),
+    "mitigate": Subcommand(
+        "audit + mitigation + post report",
+        "Run the audit, apply a mitigation strategy, retrain, and write the pre+post report.",
+        (Flag("--strategy", "mitigation strategy", "Combined", choices=tuple(s.value for s in Strategy)),
+         "data source", "model", "training", "audit", _SEEDS, *COMMON),
+        cmd_mitigate,
+    ),
+    "recalibrate": Subcommand(
+        "iterative class-weight recalibration",
+        "Retrain with dynamically adjusted class weights until the recall gap closes.",
+        ("data source", "model", "training", "audit", *COMMON),
+        cmd_recalibrate,
+    ),
+    "report": Subcommand(
+        "render a stored report as text",
+        "Rebuild the human-readable summary from a run directory's report.json.",
+        (Flag("--run-dir", "run directory containing report.json", required=True),
+         Flag("--out", "write report.txt here instead of stdout")),
+        cmd_report,
+    ),
+    "heatmap": Subcommand(
+        "attention or relevance heatmap for one sample",
+        "Export a patch-grid heatmap (PGM + CSV) of ViT attention mass or propagated relevance.",
+        (_SNAPSHOT, "data source",
+         Flag("--sample-id", "sample to visualize (default: --index)"),
+         Flag("--index", "sample index when no --sample-id is given", 0, int),
+         Flag("--layer", "attention layer (-1 = final)", -1, int),
+         Flag("--source", "map to export", "attention", choices=("attention", "relevance")),
+         *COMMON),
+        cmd_heatmap,
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # noqa: D102 - argparse hook
+        raise CLIError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="biaslens", description=DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    for name, sub in SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=sub.help, description=sub.description)
+        for entry in sub.entries:
+            if isinstance(entry, str):
+                group = p.add_argument_group(entry)
+                for flag in GROUPS[entry]:
+                    flag.add_to(group)
+            else:
+                entry.add_to(p)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -840,7 +779,7 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = getattr(namespace, "out", None)
     try:
         cfg = resolve_config(subcommand, explicit, out_dir)
-        return COMMANDS[subcommand](cfg)
+        return SUBCOMMANDS[subcommand].run(cfg)
     except (ValueError, OSError) as exc:  # CLIError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ All types are immutable; operations are pure functions.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,9 +28,18 @@ class Condition(Enum):
 
 _CONDITIONS = {c.value: c for c in Condition}
 
-# The default decoder and encoder, configured as json.loads and json.dumps use them.
+
+def _encode_integral(obj) -> int:
+    """json's fallback for integers of other types, such as numpy's."""
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# The default decoder and encoder, configured as json.loads and json.dumps use
+# them; the encoder also writes integers that are not Python ints.
 _DECODER = json.JSONDecoder()
-_ENCODER = json.JSONEncoder()
+_ENCODER = json.JSONEncoder(default=_encode_integral)
 
 
 class ManifestError(ValueError):

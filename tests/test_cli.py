@@ -12,15 +12,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from biaslens.audit import AuditOptions, canonical_json, run_audit
-from biaslens.cli import CLIError, main, resolve_config
+from biaslens.cli import SUBCOMMANDS, CLIError, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.nn.snapshot import MAGIC
 from biaslens.nn.train import TrainConfig
+from biaslens.sampling import combined_resample
 from biaslens.synthetic import (
     SyntheticConfig,
     generate_synthetic,
     write_synthetic_dataset,
 )
+
+from conftest import JSON_VALUES
 
 FAST_TRAIN = [
     "--channels", "4,6", "--epochs", "2", "--batch-size", "16",
@@ -96,13 +99,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "epoch" in err and "unknown config keys" in err
 
-    def test_runtime_failure_is_exit_two(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / "report.json").write_text("{}", encoding="utf-8")
-        code = main(["report", "--run-dir", str(run_dir)])
+    def test_runtime_failure_is_exit_two(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        def fail(manifest):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("biaslens.cli.compute_distribution", fail)
+        manifest_path, _ = dataset_dir
+        code = main(["analyze", "--manifest", str(manifest_path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "runtime failure" in capsys.readouterr().err
+        assert "runtime failure: RuntimeError: boom" in capsys.readouterr().err
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
@@ -301,6 +306,40 @@ class TestConfigFileFuzz:
             assert main([*argv, "--out", str(tmp_path / sub)]) in (0, 1)
 
 
+# Every key that a --config file may set, for each subcommand that reads one.
+CONFIG_KEYS = [
+    pytest.param(sub, key, id=f"{sub}-{key}")
+    for sub, spec in SUBCOMMANDS.items()
+    if any(f.flag == "--config" for f in spec.flags())
+    for key in spec.defaults()
+]
+
+
+class TestEveryConfigKey:
+    @pytest.mark.parametrize("sub, key", CONFIG_KEYS)
+    def test_wrong_json_type_exits_1_naming_the_key(self, tmp_path, capsys, sub, key):
+        spec = SUBCOMMANDS[sub]
+        required = [a for f in spec.flags() if f.required and f.key != "out" for a in (f.flag, "x")]
+        default = spec.defaults()[key]
+        # No flag parses to a JSON object, and only a store_true flag to a bool.
+        for wrong in ({}, 1 if isinstance(default, bool) else True):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: wrong}), encoding="utf-8")
+            argv = [sub, *required, "--config", str(path), "--out", str(tmp_path / "o")]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{path}: {key} must be " in err, err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, key", CONFIG_KEYS)
+    def test_default_from_file_writes_the_same_config_json(self, tmp_path, sub, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: SUBCOMMANDS[sub].defaults()[key]}), encoding="utf-8")
+        from_file = resolve_config(sub, {"config": str(path)}, tmp_path / "file").write()
+        plain = resolve_config(sub, {}, tmp_path / "plain").write()
+        assert from_file.read_bytes() == plain.read_bytes()
+
+
 class TestAnalyze:
     def test_artifacts(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
@@ -356,6 +395,28 @@ class TestResample:
         dist = json.loads((out / "distribution.json").read_text())
         assert dist["counts"] == {"bar": 18, "cross": 20, "disk": 20}
         assert dist["total"] == 58
+
+    def test_combined_writes_the_plan_it_applies(self, dataset_dir, tmp_path):
+        manifest_path, _ = dataset_dir
+        out = tmp_path / "out"
+        assert main(["resample", "--manifest", str(manifest_path), "--seed", "3", "--out", str(out)]) == 0
+        _, plan = combined_resample(load_manifest(manifest_path), seed=3)
+        assert (out / "plan.json").read_text() == canonical_json(plan.to_json_dict()) + "\n"
+        assert json.loads((out / "distribution.json").read_text())["counts"] == plan.target_counts
+
+    def test_target_with_combined_is_rejected(self, dataset_dir, tmp_path, capsys):
+        # Combined equalizes at the median; it used to ignore --target and
+        # still write the requested targets into plan.json.
+        manifest_path, _ = dataset_dir
+        out = tmp_path / "out"
+        code = main([
+            "resample", "--manifest", str(manifest_path), "--mode", "Combined",
+            "--target", "bar=10", "--target", "cross=10", "--target", "disk=10",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "Combined" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_target(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
@@ -480,6 +541,47 @@ class TestCliApiParity:
             assert (run.run_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
 
 
+# A report that renders, and every path to a value in it.
+RENDERABLE_REPORT = {
+    "dataset": {"total": 3, "counts": {"disk": 3}, "percentages": {"disk": 100.0}},
+    "options": {},
+    "seed": 0,
+    "config_hash": "0",
+    "pre": {
+        "accuracy": 1.0, "map": 1.0, "nds": 1.0, "macro_iou": 1.0,
+        "per_class": {"disk": {"ap": 1.0, "recall": 1.0, "mean_iou": 1.0, "fn_rate": 0.0, "selectivity": 0.5}},
+    },
+    "correlation": {"undefined": False, "coefficient": 0.5},
+    "post": {"accuracy": 1.0, "map": 1.0, "nds": 1.0, "macro_iou": 1.0, "per_class": {}},
+    "mitigation": {"strategy": "Combined"},
+    "deltas": {},
+    "verdicts": {"disk": "improved"},
+}
+
+
+def _paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def damaged_reports(draw):
+    """The renderable report with a few values replaced by any JSON or removed."""
+    report = json.loads(json.dumps(RENDERABLE_REPORT))
+    for path in draw(st.lists(st.sampled_from(list(_paths(RENDERABLE_REPORT))), max_size=3)):
+        parent = report
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if draw(st.booleans()):
+                parent[path[-1]] = draw(JSON_VALUES)
+            else:
+                parent.pop(path[-1], None)
+    return report
+
+
 class TestReportCommand:
     def test_prints_summary_to_stdout(self, audit_out, capsys):
         run_dir = single_run_dir(audit_out)
@@ -498,6 +600,25 @@ class TestReportCommand:
     def test_missing_report_json(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
         assert "report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{}", "[]", "\"report\""])
+    def test_malformed_report_exits_1_naming_the_file(self, tmp_path, capsys, content):
+        (tmp_path / "report.json").write_text(content, encoding="utf-8")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "report.json") in err
+
+    @given(obj=JSON_VALUES | damaged_reports())
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_json_shaped_report_exits_0_or_1(self, tmp_path, capsys, obj):
+        (tmp_path / "report.json").write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["report", "--run-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if code == 1:
+            assert str(tmp_path / "report.json") in err
 
 
 class TestMitigateCommand:

@@ -367,6 +367,21 @@ class TestReaderWriterEquivalence:
         assert load_manifest(path) == manifest
 
 
+class TestWriteManifest:
+    def test_numpy_integers_write_and_load_back_equal(self, tmp_path):
+        record = make_record(image_size=(np.int64(32), np.int32(32)))
+        manifest = DatasetManifest(records=(record,), seed=np.int64(3))
+        path = tmp_path / "m.jsonl"
+        write_manifest(manifest, path)
+        assert path.read_text().splitlines()[1].endswith('"image_size": [32, 32]}')
+        assert load_manifest(path) == manifest
+
+    def test_other_objects_still_fail_to_encode(self, tmp_path):
+        record = make_record(sample_id=object())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_manifest(DatasetManifest(records=(record,)), tmp_path / "m.jsonl")
+
+
 class TestStreamedIO:
     def test_load_and_write_hold_less_than_half_the_file(self, tmp_path):
         records = [
