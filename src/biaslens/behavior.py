@@ -14,7 +14,7 @@ import numpy as np
 
 from .manifest import AnnotationRecord
 from .nn.snapshot import ModelSnapshot, model_from_snapshot
-from .nn.train import ArrayDataset, _forward_pass
+from .nn.train import INFERENCE_CHUNK, ArrayDataset, _forward_pass
 from .pgm import write_pgm
 
 PLATEAU_DELTA = 0.01
@@ -35,7 +35,9 @@ class UnsupportedArchitectureError(BehaviorError):
 # sensitivity / selectivity
 
 
-def unit_activation_matrix(model, images: np.ndarray, batch_size: int = 256) -> dict[str, np.ndarray]:
+def unit_activation_matrix(
+    model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK
+) -> dict[str, np.ndarray]:
     """Per-sample mean activation of every unit at every trunk tap, from
     one batched pass.
 
@@ -51,7 +53,7 @@ def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
 
     The probed activation is the unit's spatial (or patch) mean. One
     forward fills the layer caches; every unit's backward reads them. A
-    dead unit scores 0 and is logged.
+    dead unit scores 0; one warning per call lists the dead units.
     """
     if images.shape[0] == 0:
         raise BehaviorError("sensitivity needs a non-empty sample set")
@@ -69,8 +71,9 @@ def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
         grad = model.backward_from_tap(tap, seed)
         model.zero_grads()
         scores[unit] = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1).mean()
-        if scores[unit] == 0.0:
-            _log.warning("unit %d at tap %r is dead (zero gradient path)", unit, tap)
+    dead = np.flatnonzero(scores == 0.0).tolist()
+    if dead:
+        _log.warning("units %s at tap %r are dead (zero gradient path)", dead, tap)
     return scores
 
 

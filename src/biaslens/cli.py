@@ -575,7 +575,7 @@ class Flag:
         help_text = self.help
         if self.action == "store_true":
             help_text += " (default: off)"
-        elif self.default is not None:
+        elif self.default is not None and self.action != "append":  # [] says nothing
             help_text += f" (default: {self.default})"
         extra = {"type": self.type} if self.type is not str else {}
         for name in ("choices", "action", "metavar"):
@@ -681,7 +681,8 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         "Resample a manifest to target per-class counts and write the new manifest plus the plan.",
         (_MANIFEST,
          Flag("--mode", "resampling mode", "Combined", choices=tuple(m.value for m in ResampleMode)),
-         Flag("--target", "per-class target count, repeatable (default: equalize)", [],
+         Flag("--target", "per-class target count, repeatable; Oversample and Undersample only "
+              "(default: every class at the largest count, or the smallest for Undersample)", [],
               action="append", metavar="CLASS=COUNT"),
          *COMMON),
         cmd_resample,

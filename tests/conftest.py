@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
+from pathlib import Path
+
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import strategies as st
 
 from biaslens.manifest import AnnotationRecord, Condition, DatasetManifest
+from biaslens.nn.train import INFERENCE_CHUNK
+
+
+def _openblas_threads() -> str:
+    """Thread count reported by numpy's bundled OpenBLAS, if it can be asked."""
+    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return str(fn())
+    return "unknown"
+
+
+def pytest_report_header(config) -> str:
+    """The BLAS the bit-identity tests ran under."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+        f"OpenBLAS threads {_openblas_threads()}"
+    )
 
 
 # Any JSON value, for fuzzing the line-oriented readers.
@@ -49,3 +77,35 @@ def make_manifest(class_counts: dict[str, int], **record_kwargs) -> DatasetManif
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+class ForwardRecorder:
+    """Stands in for ``model.forward``: records every call's input, and
+    fills the outputs of padding rows (all-zero images) with NaN, so that
+    a reader that kept a padding row shows it."""
+
+    def __init__(self, model) -> None:
+        self.calls: list[np.ndarray] = []
+        self._forward = model.forward
+        model.forward = self
+
+    def __call__(self, x, train=False):
+        x = np.asarray(x)
+        self.calls.append(x.copy())
+        res = self._forward(x, train)
+        pad = ~x.reshape(len(x), -1).any(axis=1)
+        if pad.any():
+            outs = [res.logits, res.probs, res.box, *(a for _, a in res.trunk)]
+            for out in [*outs, *(res.attention or ())]:
+                if out is not None:
+                    out[pad] = np.nan
+        return res
+
+    def assert_each_row_once(self, *passes: np.ndarray) -> None:
+        """The calls forwarded the rows of ``passes`` in order, each row
+        exactly once, in calls of at most ``INFERENCE_CHUNK`` rows; every
+        other row forwarded was padding."""
+        assert all(len(x) <= INFERENCE_CHUNK for x in self.calls), [len(x) for x in self.calls]
+        rows = np.concatenate(self.calls)
+        real = rows[rows.reshape(len(rows), -1).any(axis=1)]
+        npt.assert_array_equal(real, np.concatenate(passes))

@@ -38,6 +38,8 @@ from biaslens.nn.train import TrainConfig
 from biaslens.nn.train import evaluate
 from biaslens.synthetic import SyntheticConfig, generate_synthetic, normalize_box_to_center_form
 
+from conftest import ForwardRecorder
+
 SMALL_ARCH = {"input_hw": (16, 16), "channels": (4, 6), "kernel": 3}
 VIT_ARCH = {"input_hw": (16, 16), "patch": 4, "dim": 8, "n_heads": 2, "n_layers": 2}
 
@@ -281,42 +283,39 @@ class TestRunAudit:
 
 
 class TestEvaluateSide:
+    @staticmethod
+    def _recorded_side(options, test):
+        """evaluate_side through a ForwardRecorder, and the same call on an
+        unwrapped model with the same seed."""
+        arch = {"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}
+        model = build_model(arch, seed=0)
+        recorder = ForwardRecorder(model)
+        side = evaluate_side(model, test, options)
+        plain = evaluate_side(build_model(arch, seed=0), test, options)
+        assert canonical_json(side) == canonical_json(plain)  # no padding row was read
+        return side, recorder
+
     def test_forwards_the_test_split_once_and_the_probe_once(self, monkeypatch):
         monkeypatch.setattr(
             audit_mod, "sensitivity_scores",
             lambda model, images, tap: np.ones(SMALL_ARCH["channels"][-1]),
         )
-        options = small_options()
-        test = small_data(n=60)
-        model = build_model({"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}, seed=0)
-        batches = []
-        forward = model.forward
-
-        def counting(x, train=False):
-            batches.append(len(x))
-            return forward(x, train)
-
-        model.forward = counting
-        side = evaluate_side(model, test, options)
-        probe = 3 * options.probe_per_class
-        assert batches == [60, probe]
+        options = small_options(probe_per_class=7)  # 21 probe rows: one padded chunk
+        test = small_data(n=62)  # 32 + 30 rows: the last chunk is padded
+        side, recorder = self._recorded_side(options, test)
+        probe = behavior_mod.balanced_probe(test.dataset, options.probe_per_class, options.seed)
+        recorder.assert_each_row_once(test.dataset.images, probe.images)
         assert set(side["per_class"]) == {"disk", "bar", "cross"}
 
     def test_forwards_the_sensitivity_probe_once_per_class(self):
-        options = small_options()
-        test = small_data(n=60)
-        model = build_model({"kind": "tiny_cnn", "n_classes": 3, **SMALL_ARCH}, seed=0)
-        batches = []
-        forward = model.forward
-
-        def counting(x, train=False):
-            batches.append(len(x))
-            return forward(x, train)
-
-        model.forward = counting
-        evaluate_side(model, test, options)
-        probe = 3 * options.probe_per_class
-        assert batches == [60, probe] + [options.sensitivity_samples] * 3
+        options = small_options(probe_per_class=7)  # 21 probe rows: one padded chunk
+        test = small_data(n=62)  # 32 + 30 rows: the last chunk is padded
+        _, recorder = self._recorded_side(options, test)
+        probe = behavior_mod.balanced_probe(test.dataset, options.probe_per_class, options.seed)
+        per_class = [
+            probe.images[probe.labels == k][: options.sensitivity_samples] for k in range(3)
+        ]
+        recorder.assert_each_row_once(test.dataset.images, probe.images, *per_class)
 
 
 class TestSharedSampleIds:

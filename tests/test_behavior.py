@@ -9,7 +9,7 @@ import logging
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaslens.behavior import (
@@ -40,7 +40,7 @@ from biaslens.nn.models import ForwardResult, TinyCNN, TinyViT
 from biaslens.nn.snapshot import ModelSnapshot
 from biaslens.nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, train
 
-from conftest import make_record
+from conftest import ForwardRecorder, make_record
 
 
 class LinearProbeModel:
@@ -144,6 +144,15 @@ class TestSensitivity:
             score = sensitivity_score(model, np.zeros((2, 2)), "lin", unit=1)
         assert score == 0.0
         assert any("dead" in rec.message for rec in caplog.records)
+
+    def test_dead_units_share_one_log_record(self, caplog):
+        model = LinearProbeModel(np.array([[2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        with caplog.at_level(logging.WARNING, logger="biaslens.behavior"):
+            scores = sensitivity_scores(model, np.zeros((2, 2)), "lin")
+        assert scores.tolist() == [1.5, 0.0, 0.0]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "units [1, 2] at tap 'lin' are dead (zero gradient path)"
+        ]
 
     def test_matches_finite_differences_on_conv_net(self):
         rng = np.random.default_rng(2)
@@ -263,9 +272,47 @@ class TestUnitActivations:
         assert set(out[0]) == {"disk", "bar"}
 
 
+CHUNKED_MODELS = {
+    "tiny_cnn": lambda: TinyCNN(n_classes=3, channels=(4, 8), seed=1),
+    "tiny_vit": lambda: TinyViT(n_classes=3, patch=4, dim=16, n_heads=2, n_layers=2, seed=1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHUNKED_MODELS))
+def one_pass(request):
+    """A model, 300 images, and one inference pass over all of them."""
+    model = CHUNKED_MODELS[request.param]()
+    images = np.random.default_rng(7).random((300, 1, 32, 32))
+    return model, images, _forward_pass(model, images)
+
+
 class TestSinglePass:
     """Every reader of a dataset reads one batched pass; the batch size
-    changes no bit of the probabilities, unit means or attention."""
+    changes no bit of the probabilities, boxes, unit means or attention."""
+
+    @settings(max_examples=8, deadline=None)
+    @example(n=5, cuts=[], batch_size=2)
+    @given(
+        n=st.integers(1, 300),
+        cuts=st.lists(st.integers(1, 299), max_size=6),
+        batch_size=st.integers(1, 40),
+    )
+    def test_any_chunking_is_bit_identical_to_one_pass(self, one_pass, n, cuts, batch_size):
+        model, images, whole = one_pass
+        bounds = sorted({0, n, *(c for c in cuts if c < n)})
+        pieces = [
+            _forward_pass(model, images[a:b], batch_size) for a, b in zip(bounds, bounds[1:])
+        ]
+        npt.assert_array_equal(np.concatenate([p.probs for p in pieces]), whole.probs[:n])
+        npt.assert_array_equal(np.concatenate([p.boxes for p in pieces]), whole.boxes[:n])
+        for tap, means in whole.unit_means.items():
+            npt.assert_array_equal(
+                np.concatenate([p.unit_means[tap] for p in pieces]), means[:n]
+            )
+        for layer, attention in enumerate(whole.attention or ()):
+            npt.assert_array_equal(
+                np.concatenate([p.attention[layer] for p in pieces]), attention[:n]
+            )
 
     def test_pass_is_bit_identical_at_batch_2_and_256(self):
         model = tiny_vit(box_head=True)
@@ -277,35 +324,34 @@ class TestSinglePass:
         for a, b, c in zip(small.attention, large.attention, summary.per_layer, strict=True):
             npt.assert_array_equal(a, b)
             npt.assert_array_equal(a, c)
-        # The box head's (N, 16) @ (16, 2) product runs a BLAS kernel that
-        # depends on N, so boxes agree to the last bits only.
-        npt.assert_allclose(small.boxes, large.boxes, rtol=0, atol=1e-15)
+        npt.assert_array_equal(small.boxes, large.boxes)
 
     def test_evaluate_is_bit_identical_at_batch_2_and_256(self):
         model = tiny_vit(box_head=True)
         data = vit_dataset(n=5)
         small, large = evaluate(model, data, batch_size=2), evaluate(model, data)
         npt.assert_array_equal(small["probs"], large["probs"])
-        npt.assert_allclose(small["boxes"], large["boxes"], rtol=0, atol=1e-15)
+        npt.assert_array_equal(small["boxes"], large["boxes"])
         assert small["recalls"] == large["recalls"]
 
     def test_observe_forwards_the_probe_once_per_epoch(self):
-        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
-        assert len(model.trunk_taps) == 2
+        def model():
+            return TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+
         probe = vit_dataset(n=6, hw=(8, 8))
-        batches = []
-        forward = model.forward
-
-        def counting(x, train=False):
-            batches.append(len(x))
-            return forward(x, train)
-
-        model.forward = counting
-        tracker = BehaviorTracker(probe)
+        recorded = model()
+        assert len(recorded.trunk_taps) == 2
+        recorder = ForwardRecorder(recorded)
+        tracker, plain = BehaviorTracker(probe), BehaviorTracker(probe)
         for epoch in range(3):
-            tracker.observe(model, epoch)
-        assert batches == [6, 6, 6]
+            tracker.observe(recorded, epoch)
+            plain.observe(model(), epoch)
+        recorder.assert_each_row_once(*[probe.images] * 3)
         assert {r.layer for r in tracker.scores.records} == {"conv1", "conv2"}
+        # no padding row was read
+        assert [r.selectivity for r in tracker.scores.records] == [
+            r.selectivity for r in plain.scores.records
+        ]
 
 
 class TestRelevancePropagation:
@@ -638,20 +684,20 @@ class TestBehaviorTracking:
         assert replayed.records == tracker.scores.records
 
     def test_sensitivity_forwards_once_per_tap_and_class(self):
+        def model():
+            return TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+
         data = self._dataset(n_per_class=5)
         tracker = BehaviorTracker(data, with_sensitivity=True, sensitivity_samples=3)
-        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
-        batches = []
-        forward = model.forward
-
-        def counting(x, train=False):
-            batches.append(len(x))
-            return forward(x, train)
-
-        model.forward = counting
-        tracker.observe(model, 0)
+        plain = BehaviorTracker(data, with_sensitivity=True, sensitivity_samples=3)
+        recorded = model()
+        recorder = ForwardRecorder(recorded)
+        tracker.observe(recorded, 0)
+        plain.observe(model(), 0)
         # the probe once for activations, then 3 images per (tap, class)
-        assert batches == [10] + [3] * (2 * 2)
+        per_class = [data.images[data.labels == k][:3] for k in range(2)]
+        recorder.assert_each_row_once(data.images, *per_class * 2)
+        assert tracker.scores.records == plain.scores.records  # no padding row was read
         order = [(r.layer, r.neuron, r.class_label) for r in tracker.scores.records]
         assert order == [
             (tap, unit, c)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biaslens.audit import AuditOptions, canonical_json, run_audit
+from biaslens.audit import AuditOptions, _build_audit_model, canonical_json, run_audit
 from biaslens.cli import SUBCOMMANDS, CLIError, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.nn.snapshot import MAGIC
@@ -418,6 +418,15 @@ class TestResample:
         assert "Combined" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_help_states_the_target_default(self, capsys):
+        assert main(["resample", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert (
+            "--target CLASS=COUNT per-class target count, repeatable; Oversample and "
+            "Undersample only (default: every class at the largest count, or the "
+            "smallest for Undersample) --out"
+        ) in out
+
     def test_malformed_target(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
         code = main([
@@ -511,6 +520,27 @@ class TestAuditCommand:
 
 
 class TestCliApiParity:
+    @pytest.mark.parametrize("model", ["tiny_cnn", "tiny_vit"])
+    def test_default_audit_request_equals_default_options(self, model, tmp_path, monkeypatch):
+        requested = []
+
+        def capture(data, options, out_dir=None):
+            requested.append(options)
+            raise RuntimeError("options captured")
+
+        monkeypatch.setattr("biaslens.cli.run_audit", capture)
+        extra = [] if model == "tiny_cnn" else ["--model", model]
+        assert main(["audit", *extra, "--out", str(tmp_path)]) == 2
+        cli = requested[0]
+        api = AuditOptions(model_kind=model)
+        cli_json, api_json = cli.to_json_dict(), api.to_json_dict()
+        # The CLI spells the architecture out, with the input size of its
+        # data; AuditOptions() leaves it to the model's defaults. Both must
+        # build the same model.
+        del cli_json["arch"], api_json["arch"]
+        assert cli_json == api_json
+        assert _build_audit_model(cli, 3).arch == _build_audit_model(api, 3).arch
+
     def test_vit_audit_through_main_equals_run_audit(self, tmp_path):
         # The same request spelled as flags and as API objects: every value
         # below is written out, none is read from the CLI's own helpers.
