@@ -26,10 +26,9 @@ from .augment import (
 )
 from .behavior import (
     BehaviorTracker,
-    _summarize_attention,
+    _mass_by_cell,
     balanced_probe,
     lrp_propagate,
-    mass_by_cell,
     relevance_mass_in_box,
     sensitivity_scores,
     unit_class_activations,
@@ -462,33 +461,36 @@ def _resample_training(
     return train_d.subset(rows), plan
 
 
-def _lrp_informed_rows(model, train_d: SyntheticData, inference, tau_rel: float) -> list[int]:
+def _lrp_informed_rows(model, train_d: SyntheticData, probs: np.ndarray, tau_rel: float) -> list[int]:
     """Rows of misclassified training samples whose relevance misses the
-    box, read from an inference pass over the training split with attention."""
-    preds = inference.probs.argmax(axis=1)
-    rows, stats = [], []
-    for i, record in enumerate(train_d.manifest.records):
-        true_k = int(train_d.dataset.labels[i])
-        if int(preds[i]) == true_k:
-            continue
-        rmap = lrp_propagate(inference.attention, int(preds[i]), sample=i, grid=model.grid)
-        rows.append(i)
+    box. ``probs`` are the training split's; only the misclassified rows
+    are forwarded again, keeping their per-layer attention."""
+    preds = probs.argmax(axis=1)
+    rows = np.flatnonzero(preds != train_d.dataset.labels)
+    if not len(rows):
+        return []
+    attention = _forward_pass(model, train_d.dataset.images[rows], attention=True).attention
+    stats = []
+    for j, i in enumerate(rows):
+        record = train_d.manifest.records[i]
+        rmap = lrp_propagate(attention, int(preds[i]), sample=j, grid=model.grid)
         stats.append(
             SampleRelevanceStat(
                 sample_id=record.sample_id,
                 in_box_fraction=relevance_mass_in_box(rmap, model.patch, record.bbox),
-                loss=float(-np.log(max(inference.probs[i, true_k], 1e-12))),
+                loss=float(-np.log(max(probs[i, train_d.dataset.labels[i]], 1e-12))),
             )
         )
-    return [rows[j] for j in _rank_off_box(stats, tau_rel)]
+    return [int(rows[j]) for j in _rank_off_box(stats, tau_rel)]
 
 
 def _augment_training(
     run: AuditRun, train_d: SyntheticData
 ) -> tuple[SyntheticData, list[AugmentRequest], list[str]]:
     """Attention-guided augmentation + LRP-informed duplication (ViT only).
-    The attention-mass plan and the relevance ranking read one batched
-    pass over the training split."""
+    The attention-mass plan reads the patch mass of one pass over the
+    training split; the relevance ranking forwards its misclassified rows
+    again for their per-layer attention."""
     model = run.model
     if getattr(model, "kind", None) != "tiny_vit":
         raise AuditError(
@@ -498,16 +500,13 @@ def _augment_training(
     ds = train_d.dataset
     records = train_d.manifest.records
     inference = _forward_pass(model, ds.images)
-    summary = _summarize_attention(
-        model, ds, inference.attention, conditions=[c.value for c in train_d.conditions]
-    )
-    masses = mass_by_cell(summary, records)
+    masses = _mass_by_cell(model, inference.patch_mass, records)
     plan = attention_guided_augment_plan(
         masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa
     )
     new_records, new_images = materialize_plan(plan, records, ds.images)
 
-    dup_rows = _lrp_informed_rows(model, train_d, inference, options.tau_rel)
+    dup_rows = _lrp_informed_rows(model, train_d, inference.probs, options.tau_rel)
     for n, i in enumerate(dup_rows):
         new_records.append(
             replace(records[i], sample_id=f"{records[i].sample_id}-rel{n}", image_ref=None)

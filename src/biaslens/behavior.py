@@ -281,16 +281,21 @@ class AttentionSummary:
             row = self.sample_ids.index(record.sample_id)
         except ValueError:
             raise BehaviorError(f"sample {record.sample_id!r} not in attention summary") from None
-        return self._mass_in_box(row, record)
+        return _mass_in_box(self, self.patch_mass[row], record)
 
-    def _mass_in_box(self, row: int, record: AnnotationRecord) -> float:
-        if tuple(record.image_size) != tuple(self.image_hw[::-1]):
-            raise BehaviorError(
-                f"record frame {record.image_size} does not match summary "
-                f"image {self.image_hw[::-1]}"
-            )
-        mask = patch_centers_in_box(self.grid, self.patch, record.bbox)
-        return float(self.patch_mass[row][mask].sum())
+
+def _mass_in_box(vit, mass: np.ndarray, record: AnnotationRecord) -> float:
+    """Share of one sample's patch mass (P,) on patches centered in the
+    record's box. ``vit`` is the model or its summary: anything with its
+    patch ``grid`` and ``patch`` side, which tile the image."""
+    (gh, gw), patch = vit.grid, vit.patch
+    if tuple(record.image_size) != (gw * patch, gh * patch):
+        raise BehaviorError(
+            f"record frame {record.image_size} does not match summary "
+            f"image {(gw * patch, gh * patch)}"
+        )
+    mask = patch_centers_in_box(vit.grid, patch, record.bbox)
+    return float(mass[mask].sum())
 
 
 def patch_centers_in_box(
@@ -322,27 +327,14 @@ def extract_attention(
         raise UnsupportedArchitectureError(
             f"attention extraction needs a tiny_vit model, got {getattr(model, 'kind', type(model).__name__)!r}"
         )
-    per_layer = _forward_pass(model, dataset.images).attention
-    if per_layer is None:
+    inference = _forward_pass(model, dataset.images, attention=True)
+    if inference.attention is None:
         raise BehaviorError("model forward produced no attention caches")
-    return _summarize_attention(model, dataset, per_layer, conditions)
-
-
-def _summarize_attention(
-    model,
-    dataset: ArrayDataset,
-    per_layer: tuple[np.ndarray, ...],
-    conditions: Sequence[str] | None,
-) -> AttentionSummary:
-    """The summary of a ViT's per-layer attention over a dataset, as
-    read from an inference pass."""
     n = len(dataset)
     sample_ids = dataset.sample_ids or tuple(f"sample-{i}" for i in range(n))
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)
     conds = tuple(conditions) if conditions is not None else ("",) * n
-
-    final_mean_heads = per_layer[-1].mean(axis=1)  # (N, P, P)
-    patch_mass = final_mean_heads.mean(axis=1)  # (N, P) mean-query rows
+    final_mean_heads = inference.attention[-1].mean(axis=1)  # (N, P, P)
 
     def _group_mean(key: Sequence[str]) -> dict[str, np.ndarray]:
         out = {}
@@ -351,18 +343,17 @@ def _summarize_attention(
             out[g] = final_mean_heads[idx].mean(axis=0)
         return out
 
-    h, w = model.arch["input_hw"]
     return AttentionSummary(
-        image_hw=(h, w),
+        image_hw=tuple(model.arch["input_hw"]),
         patch=model.patch,
         grid=model.grid,
-        per_layer=per_layer,
+        per_layer=inference.attention,
         sample_ids=tuple(sample_ids),
         class_labels=class_labels,
         conditions=conds,
         mean_by_class=_group_mean(class_labels),
         mean_by_condition=_group_mean(conds) if conditions is not None else {},
-        patch_mass=patch_mass,
+        patch_mass=inference.patch_mass,
     )
 
 
@@ -372,15 +363,22 @@ def mass_by_cell(
     """Mean attention-on-ground-truth per (class_label, condition) cell,
     in the shape the augmentation planner consumes. Record i is the
     summary's sample i."""
+    return _mass_by_cell(summary, summary.patch_mass, records)
+
+
+def _mass_by_cell(
+    vit, patch_mass: np.ndarray, records: Iterable[AnnotationRecord]
+) -> dict[tuple[str, object], float]:
+    """``mass_by_cell`` over any (N, P) patch mass, such as an inference
+    pass's, for readers that need no per-layer maps; ``vit`` as in
+    ``_mass_in_box``."""
     records = tuple(records)
-    if len(records) != len(summary.patch_mass):
-        raise BehaviorError(
-            f"{len(records)} records for {len(summary.patch_mass)} summarized samples"
-        )
+    if len(records) != len(patch_mass):
+        raise BehaviorError(f"{len(records)} records for {len(patch_mass)} summarized samples")
     sums: dict[tuple[str, object], list[float]] = {}
-    for row, record in enumerate(records):
+    for mass, record in zip(patch_mass, records):
         key = (record.class_label, record.condition)
-        sums.setdefault(key, []).append(summary._mass_in_box(row, record))
+        sums.setdefault(key, []).append(_mass_in_box(vit, mass, record))
     return {k: sum(v) / len(v) for k, v in sums.items()}
 
 

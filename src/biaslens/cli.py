@@ -29,7 +29,7 @@ from .audit import (
     run_mitigation,
 )
 from .augment import attention_guided_augment_plan, materialize_plan
-from .behavior import export_heatmap, extract_attention, lrp_propagate, mass_by_cell
+from .behavior import _mass_by_cell, export_heatmap, lrp_propagate
 from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights
 from .manifest import (
@@ -39,7 +39,7 @@ from .manifest import (
     write_manifest,
 )
 from .nn.snapshot import load_snapshot, model_from_snapshot
-from .nn.train import TrainConfig, train
+from .nn.train import TrainConfig, _forward_pass, train
 from .nn.optim import schedule_from_config
 from .pgm import write_pgm
 from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
@@ -335,14 +335,19 @@ def _load_model(cfg: RunConfig):
         raise CLIError(f"{path}: {exc}") from None
 
 
+def _vit_pass(model, images, attention: bool = False):
+    """The inference pass of a ViT snapshot's model over ``images``."""
+    if getattr(model, "kind", None) != "tiny_vit":
+        raise CLIError("snapshot model exposes no attention; use a tiny_vit snapshot")
+    return _forward_pass(model, images, attention=attention)
+
+
 def cmd_augment(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     model = _load_model(cfg)
     data = dataset_from_manifest(manifest, cfg.values["images_root"])
-    summary = extract_attention(
-        model, data.dataset, conditions=[c.value for c in data.conditions]
-    )
-    masses = mass_by_cell(summary, data.manifest.records)
+    patch_mass = _vit_pass(model, data.dataset.images).patch_mass
+    masses = _mass_by_cell(model, patch_mass, data.manifest.records)
     plan = attention_guided_augment_plan(
         masses,
         compute_distribution(data.manifest),
@@ -523,9 +528,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
         sample_id = (data.dataset.sample_ids or [f"sample-{index}"])[index]
 
     source = cfg.values["source"]
-    res = model.forward(data.dataset.images[index : index + 1], train=False)
-    if res.attention is None:
-        raise CLIError("snapshot model exposes no attention; use a tiny_vit snapshot")
+    res = _vit_pass(model, data.dataset.images[index : index + 1], attention=True)
     if source == "attention":
         layer = int(cfg.values["layer"])
         n_layers = len(res.attention)
@@ -662,8 +665,12 @@ class Subcommand:
         return [f for e in self.entries for f in (GROUPS[e] if isinstance(e, str) else (e,))]
 
     def config_flags(self) -> dict[str, Flag]:
-        """Key -> row of every flag a config file may set."""
-        return {f.key: f for f in self.flags() if f.key not in _NOT_CONFIG_KEYS}
+        """Key -> row of every flag a config file may set. A required flag
+        is not one: argparse demands it on the command line, where it
+        would override the file's value."""
+        return {
+            f.key: f for f in self.flags() if not f.required and f.key not in _NOT_CONFIG_KEYS
+        }
 
     def defaults(self) -> dict:
         return {key: f.default for key, f in self.config_flags().items()}

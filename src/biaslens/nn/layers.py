@@ -76,7 +76,7 @@ class Dense(Layer):
 class ReLU(Layer):
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)  # NaN stays NaN; -0.0 becomes +0.0
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask

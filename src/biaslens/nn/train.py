@@ -196,6 +196,7 @@ class _Pass:
     probs: np.ndarray
     boxes: np.ndarray | None
     unit_means: dict[str, np.ndarray]  # tap -> (N, units)
+    patch_mass: np.ndarray | None  # (N, P): final layer, heads then queries averaged
     attention: tuple[np.ndarray, ...] | None  # per layer: (N, heads, P, P)
 
 
@@ -207,12 +208,17 @@ def _unit_means(act: np.ndarray) -> np.ndarray:
     return act
 
 
-def _forward_pass(model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> _Pass:
+def _forward_pass(
+    model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK, attention: bool = False
+) -> _Pass:
     """The batched inference loop every reader of a dataset shares.
 
     Fills preallocated arrays with probabilities, boxes (when the model
-    has a head), per-tap unit means and per-layer attention (when the
-    model has attention), forwarding ``batch_size`` samples at a time.
+    has a head) and per-tap unit means, forwarding ``batch_size`` samples
+    at a time. For a model with attention it keeps each sample's
+    final-layer patch mass, the head mean and then the query mean of the
+    last map; the per-layer (N, heads, P, P) maps are kept only when
+    ``attention`` is set, because they grow with N·layers·heads·P².
     Each chunk is padded with zero images up to a multiple of
     ``_ROW_BLOCK`` rows, and the padding is dropped before anything is
     stored, so no product runs a BLAS row-tail kernel: a sample's outputs
@@ -231,7 +237,10 @@ def _forward_pass(model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) 
         if res.box is not None:
             parts.append((("boxes",), res.box))
         parts += [(("unit", tap), _unit_means(act)) for tap, act in res.trunk]
-        parts += [(("attention", i), a) for i, a in enumerate(res.attention or ())]
+        if res.attention:
+            parts.append((("patch_mass",), res.attention[-1].mean(axis=1).mean(axis=1)))
+            if attention:
+                parts += [(("attention", i), a) for i, a in enumerate(res.attention)]
         for key, value in parts:
             if key not in arrays:
                 arrays[key] = np.empty((n, *value.shape[1:]))
@@ -240,6 +249,7 @@ def _forward_pass(model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) 
         probs=arrays[("probs",)],
         boxes=arrays.get(("boxes",)),
         unit_means={k[1]: v for k, v in arrays.items() if k[0] == "unit"},
+        patch_mass=arrays.get(("patch_mass",)),
         attention=tuple(v for k, v in arrays.items() if k[0] == "attention") or None,
     )
 

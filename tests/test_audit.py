@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,10 +34,15 @@ from biaslens.audit import (
 )
 from biaslens.losses import ClassWeights
 from biaslens.manifest import Condition
-from biaslens.nn.models import build_model
+from biaslens.nn.models import TinyViT, build_model
 from biaslens.nn.train import TrainConfig
 from biaslens.nn.train import evaluate
-from biaslens.synthetic import SyntheticConfig, generate_synthetic, normalize_box_to_center_form
+from biaslens.synthetic import (
+    SyntheticConfig,
+    SyntheticData,
+    generate_synthetic,
+    normalize_box_to_center_form,
+)
 
 from conftest import ForwardRecorder
 
@@ -316,6 +322,59 @@ class TestEvaluateSide:
             probe.images[probe.labels == k][: options.sensitivity_samples] for k in range(3)
         ]
         recorder.assert_each_row_once(test.dataset.images, probe.images, *per_class)
+
+
+class TestAugmentPasses:
+    """The Augment step reads one light pass over the training split, and
+    keeps per-layer attention maps only for its misclassified rows."""
+
+    def test_one_attention_pass_over_the_misclassified_rows(self, vit_run, monkeypatch):
+        train = vit_run.data.subset(vit_run.splits[0])
+        calls = []
+        forward_pass = audit_mod._forward_pass
+
+        def spy(model, images, *args, **kwargs):
+            calls.append((images.copy(), kwargs.get("attention", False)))
+            return forward_pass(model, images, *args, **kwargs)
+
+        monkeypatch.setattr(audit_mod, "_forward_pass", spy)
+        audit_mod._augment_training(vit_run, train)
+        preds = evaluate(vit_run.model, train.dataset)["preds"]
+        wrong = np.flatnonzero(preds != train.dataset.labels)
+        assert 0 < len(wrong) < len(train.dataset)
+        assert [flag for _, flag in calls] == [False, True]
+        npt.assert_array_equal(calls[0][0], train.dataset.images)
+        npt.assert_array_equal(calls[1][0], train.dataset.images[wrong])
+
+    def test_peak_memory_stays_well_below_whole_split_maps(self, vit_run):
+        # 8x8 patches of 2 px: each sample's maps (2 layers x 2 heads x
+        # 64 x 64 doubles, 128 KiB) dwarf its 2 KiB image.
+        model = TinyViT(
+            n_classes=3, input_hw=(16, 16), patch=2, dim=8, n_heads=2, n_layers=2, seed=3
+        )
+        data = small_data(n=300)
+        preds = evaluate(model, data.dataset)["preds"]
+        # Relabel so that the model misclassifies exactly every tenth row.
+        order = data.dataset.class_order
+        records = tuple(
+            replace(r, class_label=order[(preds[i] + (i % 10 == 0)) % 3])
+            for i, r in enumerate(data.manifest.records)
+        )
+        train = SyntheticData.from_records(
+            replace(data.manifest, records=records), data.dataset.images, order
+        )
+        run = replace(vit_run, model=model)
+        maps = 2 * len(train.dataset) * 2 * model.n_patches**2 * 8  # bytes, whole split
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            _augmented, _plan, dup_ids = audit_mod._augment_training(run, train)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert len(dup_ids) <= 30
+        assert peak < maps / 2, f"peak {peak / 2**20:.1f} MiB for {maps / 2**20:.1f} MiB of maps"
 
 
 class TestSharedSampleIds:

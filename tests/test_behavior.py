@@ -280,15 +280,26 @@ CHUNKED_MODELS = {
 
 @pytest.fixture(scope="module", params=sorted(CHUNKED_MODELS))
 def one_pass(request):
-    """A model, 300 images, and one inference pass over all of them."""
+    """A model, 300 images, and one inference pass over all of them that
+    keeps the attention maps."""
     model = CHUNKED_MODELS[request.param]()
     images = np.random.default_rng(7).random((300, 1, 32, 32))
-    return model, images, _forward_pass(model, images)
+    return model, images, _forward_pass(model, images, attention=True)
+
+
+@pytest.fixture(scope="module")
+def vit_pass():
+    """The ``one_pass`` ViT, its 300 images, and their attention summary."""
+    model = CHUNKED_MODELS["tiny_vit"]()
+    images = np.random.default_rng(7).random((300, 1, 32, 32))
+    data = ArrayDataset(images=images, labels=np.arange(300) % 3, class_order=("a", "b", "c"))
+    return model, images, extract_attention(model, data)
 
 
 class TestSinglePass:
     """Every reader of a dataset reads one batched pass; the batch size
-    changes no bit of the probabilities, boxes, unit means or attention."""
+    changes no bit of the probabilities, boxes, unit means, patch mass or
+    attention."""
 
     @settings(max_examples=8, deadline=None)
     @example(n=5, cuts=[], batch_size=2)
@@ -301,7 +312,8 @@ class TestSinglePass:
         model, images, whole = one_pass
         bounds = sorted({0, n, *(c for c in cuts if c < n)})
         pieces = [
-            _forward_pass(model, images[a:b], batch_size) for a, b in zip(bounds, bounds[1:])
+            _forward_pass(model, images[a:b], batch_size, attention=True)
+            for a, b in zip(bounds, bounds[1:])
         ]
         npt.assert_array_equal(np.concatenate([p.probs for p in pieces]), whole.probs[:n])
         npt.assert_array_equal(np.concatenate([p.boxes for p in pieces]), whole.boxes[:n])
@@ -309,22 +321,53 @@ class TestSinglePass:
             npt.assert_array_equal(
                 np.concatenate([p.unit_means[tap] for p in pieces]), means[:n]
             )
-        for layer, attention in enumerate(whole.attention or ()):
+        is_vit = model.kind == "tiny_vit"
+        assert (whole.attention is not None, whole.patch_mass is not None) == (is_vit, is_vit)
+        if is_vit:
             npt.assert_array_equal(
-                np.concatenate([p.attention[layer] for p in pieces]), attention[:n]
+                np.concatenate([p.patch_mass for p in pieces]), whole.patch_mass[:n]
             )
+            assert len(whole.attention) == 2
+            for layer, attention in enumerate(whole.attention):
+                npt.assert_array_equal(
+                    np.concatenate([p.attention[layer] for p in pieces]), attention[:n]
+                )
 
     def test_pass_is_bit_identical_at_batch_2_and_256(self):
         model = tiny_vit(box_head=True)
         data = vit_dataset(n=5)
-        small = _forward_pass(model, data.images, batch_size=2)
-        large = _forward_pass(model, data.images, batch_size=256)
+        small = _forward_pass(model, data.images, batch_size=2, attention=True)
+        large = _forward_pass(model, data.images, batch_size=256, attention=True)
         npt.assert_array_equal(small.probs, large.probs)
         summary = extract_attention(model, data)
+        assert len(small.attention) == 2
         for a, b, c in zip(small.attention, large.attention, summary.per_layer, strict=True):
             npt.assert_array_equal(a, b)
             npt.assert_array_equal(a, c)
+        npt.assert_array_equal(small.patch_mass, large.patch_mass)
+        npt.assert_array_equal(small.patch_mass, summary.patch_mass)
         npt.assert_array_equal(small.boxes, large.boxes)
+
+    @settings(max_examples=8, deadline=None)
+    @example(n=5, cuts=[], batch_size=2)
+    @given(
+        n=st.integers(1, 300),
+        cuts=st.lists(st.integers(1, 299), max_size=6),
+        batch_size=st.integers(1, 40),
+    )
+    def test_vit_pass_keeps_patch_mass_without_maps(self, vit_pass, n, cuts, batch_size):
+        """Without ``attention`` a ViT pass keeps no per-layer map, and its
+        patch mass is the final map's head mean then query mean, bit for
+        bit, however the samples are cut into passes and chunks."""
+        model, images, summary = vit_pass
+        bounds = sorted({0, n, *(c for c in cuts if c < n)})
+        pieces = [
+            _forward_pass(model, images[a:b], batch_size) for a, b in zip(bounds, bounds[1:])
+        ]
+        assert all(p.attention is None for p in pieces)
+        expected = summary.per_layer[-1][:n].mean(axis=1).mean(axis=1)
+        npt.assert_array_equal(np.concatenate([p.patch_mass for p in pieces]), expected)
+        npt.assert_array_equal(summary.patch_mass[:n], expected)
 
     def test_evaluate_is_bit_identical_at_batch_2_and_256(self):
         model = tiny_vit(box_head=True)

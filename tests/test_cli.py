@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from biaslens.audit import AuditOptions, _build_audit_model, canonical_json, run_audit
 from biaslens.cli import SUBCOMMANDS, CLIError, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
-from biaslens.nn.snapshot import MAGIC
-from biaslens.nn.train import TrainConfig
+from biaslens.behavior import export_heatmap, lrp_propagate
+from biaslens.nn.models import TinyViT
+from biaslens.nn.snapshot import MAGIC, load_snapshot, model_from_snapshot
+from biaslens.nn.train import _ROW_BLOCK, TrainConfig, _forward_pass
 from biaslens.sampling import combined_resample
 from biaslens.synthetic import (
     SyntheticConfig,
@@ -313,6 +315,37 @@ CONFIG_KEYS = [
     if any(f.flag == "--config" for f in spec.flags())
     for key in spec.defaults()
 ]
+
+
+class TestRequiredFlagInConfig:
+    @pytest.mark.parametrize("sub, key", [
+        (sub, f.key) for sub, spec in SUBCOMMANDS.items()
+        if any(f.flag == "--config" for f in spec.flags())
+        for f in spec.flags() if f.required and f.key != "out"
+    ])
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, sub, key):
+        spec = SUBCOMMANDS[sub]
+        required = [a for f in spec.flags() if f.required and f.key != "out" for a in (f.flag, "x")]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: "x"}), encoding="utf-8")
+        argv = [sub, *required, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"unknown config keys for {sub!r}: {key}" in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_required_flags_are_the_listed_ones(self):
+        keys = {
+            sub: sorted(f.key for f in spec.flags() if f.required and f.key != "out")
+            for sub, spec in SUBCOMMANDS.items()
+        }
+        assert {k: v for k, v in keys.items() if v} == {
+            "analyze": ["manifest"],
+            "resample": ["manifest"],
+            "augment": ["images_root", "manifest", "snapshot"],
+            "report": ["run_dir"],
+            "heatmap": ["snapshot"],
+        }
 
 
 class TestEveryConfigKey:
@@ -760,6 +793,43 @@ class TestHeatmapCommand:
         ])
         assert code == 1
         assert "attention" in capsys.readouterr().err
+
+    def test_maps_come_from_the_padded_pass(self, vit_snapshot, tmp_path, monkeypatch):
+        """The sample is forwarded in a padded chunk, so both maps are the
+        bits that a batched pass over the whole dataset gives that sample."""
+        rows = []
+        forward = TinyViT.forward
+
+        def spy(self, x, train=False):
+            rows.append(len(x))
+            return forward(self, x, train)
+
+        monkeypatch.setattr(TinyViT, "forward", spy)
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=8, shares=(1 / 3,) * 3, image_hw=(16, 16), seed=0)
+        )
+        model = model_from_snapshot(load_snapshot(vit_snapshot))
+        whole = _forward_pass(model, data.dataset.images, attention=True)
+        index = 3
+        sample_id = data.dataset.sample_ids[index]
+        expected = {
+            "attention": whole.attention[-1][index].mean(axis=0).mean(axis=0).reshape(model.grid),
+            "relevance": lrp_propagate(
+                whole.attention, int(whole.probs[index].argmax()), sample=index, grid=model.grid
+            ).as_grid(),
+        }
+        rows.clear()
+        for source, grid_map in expected.items():
+            out = tmp_path / source
+            assert main([
+                "heatmap", "--snapshot", str(vit_snapshot), "--synthetic", "balanced",
+                "--n-samples", "8", "--image-size", "16", "--index", str(index),
+                "--source", source, "--out", str(out),
+            ]) == 0
+            want = export_heatmap(grid_map, tmp_path / "expected" / source)
+            for ref in want:
+                assert (out / f"{source}-{sample_id}{ref.suffix}").read_bytes() == ref.read_bytes()
+        assert rows and all(r % _ROW_BLOCK == 0 for r in rows), rows
 
     def test_out_of_range_index(self, vit_snapshot, tmp_path, capsys):
         code = main([

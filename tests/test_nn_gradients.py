@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from biaslens.losses import softmax, weighted_cross_entropy
 from biaslens.nn.attention import MultiHeadSelfAttention, attention_weights
-from biaslens.nn.layers import GELU, Conv2D, Dense, LayerNorm, MaxPool2D, ShapeError
+from biaslens.nn.layers import GELU, Conv2D, Dense, LayerNorm, MaxPool2D, ReLU, ShapeError
 from biaslens.nn.models import TinyCNN, TinyViT, build_model
 
 FD_EPS = 1e-5
@@ -279,6 +279,38 @@ def gelu_reference(x, dy):
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return out, dy * (cdf + x * pdf)
+
+
+# Floats with every special value ReLU must get right: signed zeros,
+# subnormals, infinities and NaN.
+SPECIAL_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+)
+
+
+class TestReLUReference:
+    """``ReLU.forward`` is ``max(x, 0)``: the same bits as the masked
+    select ``where(x > 0, x, 0)`` for every number, and NaN stays NaN
+    instead of being zeroed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(SPECIAL_FLOATS, min_size=1, max_size=40))
+    def test_forward_matches_masked_select_and_keeps_nan(self, values):
+        x = np.array(values, dtype=np.float64)
+        y = ReLU().forward(x.copy())
+        nan = np.isnan(x)
+        npt.assert_array_equal(np.isnan(y), nan)
+        reference = np.where(x > 0, x, 0.0)
+        npt.assert_array_equal(y[~nan].view(np.int64), reference[~nan].view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(SPECIAL_FLOATS, min_size=1, max_size=40))
+    def test_backward_passes_gradient_where_input_was_positive(self, values):
+        x = np.array(values, dtype=np.float64)
+        layer = ReLU()
+        layer.forward(x)
+        dy = np.arange(1.0, len(x) + 1.0)
+        npt.assert_array_equal(layer.backward(dy), np.where(x > 0, dy, 0.0))
 
 
 class TestGELUReference:
