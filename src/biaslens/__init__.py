@@ -6,196 +6,4 @@ then applies and re-evaluates mitigations: resampling, cost-sensitive
 loss weights, attention-guided augmentation, and weight recalibration.
 """
 
-from __future__ import annotations
-
-from .audit import (
-    AuditError,
-    AuditOptions,
-    AuditRun,
-    BiasReport,
-    RecalibrationState,
-    Strategy,
-    correlate_errors,
-    decode_center_box,
-    recalibrate,
-    recalibration_loop,
-    run_audit,
-    run_mitigation,
-)
-from .augment import (
-    AugmentKind,
-    AugmentOp,
-    AugmentRequest,
-    SampleRelevanceStat,
-    apply_augment,
-    attention_guided_augment_plan,
-    inverse_op,
-    lrp_informed_sample_plan,
-    transform_bbox,
-    transform_image,
-)
-from .behavior import (
-    AttentionSummary,
-    BehaviorRecord,
-    BehaviorScores,
-    BehaviorTracker,
-    RelevanceMap,
-    UnsupportedArchitectureError,
-    balanced_probe,
-    export_heatmap,
-    extract_attention,
-    lrp_propagate,
-    lrp_step,
-    mass_by_cell,
-    selectivity_score,
-    sensitivity_score,
-    track_behavior,
-)
-from .detmetrics import (
-    Detection,
-    MatchResult,
-    TPErrorSet,
-    average_precision,
-    iou,
-    match_detections,
-    mean_ap,
-    nds,
-    per_class_ap,
-    per_class_errors,
-    tp_errors_from_matches,
-)
-from .losses import (
-    ClassWeights,
-    WeightError,
-    compute_class_weights,
-    cross_entropy,
-    dynamic_weight_adjust,
-    softmax,
-    weighted_ce_from_logits,
-    weighted_cross_entropy,
-)
-from .manifest import (
-    AnnotationRecord,
-    ClassDistribution,
-    Condition,
-    DatasetManifest,
-    ManifestError,
-    compute_distribution,
-    load_manifest,
-    write_manifest,
-)
-from .nn.models import TinyCNN, TinyViT, build_model
-from .nn.snapshot import ModelSnapshot, load_snapshot, model_from_snapshot
-from .nn.train import ArrayDataset, TrainConfig, stratified_split, train
-from .sampling import (
-    ResampleMode,
-    ResamplePlan,
-    apply_resample,
-    build_subset_schedule,
-    combined_resample,
-    draw_subset,
-    random_oversample,
-    random_undersample,
-)
-from .synthetic import (
-    SyntheticConfig,
-    SyntheticData,
-    dataset_from_manifest,
-    generate_synthetic,
-    parse_share_spec,
-    write_synthetic_dataset,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnotationRecord",
-    "ArrayDataset",
-    "AttentionSummary",
-    "AuditError",
-    "AuditOptions",
-    "AuditRun",
-    "AugmentKind",
-    "AugmentOp",
-    "AugmentRequest",
-    "BehaviorRecord",
-    "BehaviorScores",
-    "BehaviorTracker",
-    "BiasReport",
-    "ClassDistribution",
-    "ClassWeights",
-    "Condition",
-    "DatasetManifest",
-    "Detection",
-    "ManifestError",
-    "MatchResult",
-    "ModelSnapshot",
-    "RecalibrationState",
-    "RelevanceMap",
-    "ResampleMode",
-    "ResamplePlan",
-    "SampleRelevanceStat",
-    "Strategy",
-    "SyntheticConfig",
-    "SyntheticData",
-    "TPErrorSet",
-    "TinyCNN",
-    "TinyViT",
-    "TrainConfig",
-    "UnsupportedArchitectureError",
-    "WeightError",
-    "__version__",
-    "apply_augment",
-    "apply_resample",
-    "attention_guided_augment_plan",
-    "average_precision",
-    "balanced_probe",
-    "build_model",
-    "build_subset_schedule",
-    "combined_resample",
-    "compute_class_weights",
-    "compute_distribution",
-    "correlate_errors",
-    "cross_entropy",
-    "dataset_from_manifest",
-    "decode_center_box",
-    "draw_subset",
-    "dynamic_weight_adjust",
-    "export_heatmap",
-    "extract_attention",
-    "generate_synthetic",
-    "inverse_op",
-    "iou",
-    "load_manifest",
-    "load_snapshot",
-    "lrp_informed_sample_plan",
-    "lrp_propagate",
-    "lrp_step",
-    "mass_by_cell",
-    "match_detections",
-    "mean_ap",
-    "model_from_snapshot",
-    "nds",
-    "parse_share_spec",
-    "per_class_ap",
-    "per_class_errors",
-    "random_oversample",
-    "random_undersample",
-    "recalibrate",
-    "recalibration_loop",
-    "run_audit",
-    "run_mitigation",
-    "selectivity_score",
-    "sensitivity_score",
-    "softmax",
-    "stratified_split",
-    "tp_errors_from_matches",
-    "track_behavior",
-    "train",
-    "transform_bbox",
-    "transform_image",
-    "weighted_ce_from_logits",
-    "weighted_cross_entropy",
-    "write_manifest",
-    "write_synthetic_dataset",
-]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -20,15 +20,15 @@ from .augment import (
     DEFAULT_TAU_REL,
     AugmentRequest,
     SampleRelevanceStat,
-    _rank_off_box,
     attention_guided_augment_plan,
     materialize_plan,
+    rank_off_box,
 )
 from .behavior import (
     BehaviorTracker,
-    _mass_by_cell,
     balanced_probe,
     lrp_propagate,
+    mass_by_cell,
     relevance_mass_in_box,
     sensitivity_scores,
     unit_class_activations,
@@ -92,26 +92,13 @@ class AuditOptions:
     track_sensitivity: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "train": self.train.to_json_dict(),
-            "seed": self.seed,
-            "split": list(self.split),
-            "iou_threshold": self.iou_threshold,
-            "probe_per_class": self.probe_per_class,
-            "sensitivity_samples": self.sensitivity_samples,
-            "tau_att": self.tau_att,
-            "kappa": self.kappa,
-            "tau_rel": self.tau_rel,
-            "eta": self.eta,
-            "target_recall": self.target_recall,
-            "max_recal_iterations": self.max_recal_iterations,
-            "epsilon_gap": self.epsilon_gap,
-            "fn_delta_threshold": self.fn_delta_threshold,
-            "ap_delta_threshold": self.ap_delta_threshold,
-            "arch": dict(sorted(self.arch.items())),
-            "track_sensitivity": self.track_sensitivity,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            train=self.train.to_json_dict(),
+            split=list(self.split),
+            arch=dict(sorted(self.arch.items())),
+        )
+        return out
 
     def config_hash(self) -> str:
         blob = canonical_json(self.to_json_dict()).encode("utf-8")
@@ -476,12 +463,11 @@ def _lrp_informed_rows(model, train_d: SyntheticData, probs: np.ndarray, tau_rel
         rmap = lrp_propagate(attention, int(preds[i]), sample=j, grid=model.grid)
         stats.append(
             SampleRelevanceStat(
-                sample_id=record.sample_id,
                 in_box_fraction=relevance_mass_in_box(rmap, model.patch, record.bbox),
                 loss=float(-np.log(max(probs[i, train_d.dataset.labels[i]], 1e-12))),
             )
         )
-    return [int(rows[j]) for j in _rank_off_box(stats, tau_rel)]
+    return [int(rows[j]) for j in rank_off_box(stats, tau_rel)]
 
 
 def _augment_training(
@@ -500,7 +486,7 @@ def _augment_training(
     ds = train_d.dataset
     records = train_d.manifest.records
     inference = _forward_pass(model, ds.images)
-    masses = _mass_by_cell(model, inference.patch_mass, records)
+    masses = mass_by_cell(model, inference.patch_mass, records)
     plan = attention_guided_augment_plan(
         masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa
     )

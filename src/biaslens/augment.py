@@ -239,28 +239,15 @@ def materialize_plan(
 class SampleRelevanceStat:
     """Per-sample relevance summary from a validation pass."""
 
-    sample_id: str
     in_box_fraction: float
     loss: float
 
 
-def _rank_off_box(stats: Sequence[SampleRelevanceStat], tau_rel: float) -> list[int]:
-    """Positions in ``stats`` whose in-box relevance fraction is below
-    tau_rel, by descending loss; ties keep position order."""
+def rank_off_box(
+    stats: Sequence[SampleRelevanceStat], tau_rel: float = DEFAULT_TAU_REL
+) -> list[int]:
+    """Samples to duplicate because their relevance mostly misses the
+    ground-truth box: positions in ``stats`` whose in-box relevance fraction
+    is below tau_rel, by descending loss; ties keep position order."""
     keep = [i for i, s in enumerate(stats) if s.in_box_fraction < tau_rel]
     return sorted(keep, key=lambda i: -stats[i].loss)
-
-
-def lrp_informed_sample_plan(
-    relevance_stats: Iterable[SampleRelevanceStat],
-    misclassified: Sequence[str],
-    tau_rel: float = DEFAULT_TAU_REL,
-) -> list[str]:
-    """Misclassified samples whose relevance mostly misses the ground-truth box.
-
-    Returns sample ids with in-box relevance fraction below tau_rel,
-    sorted by descending loss (ties broken by id for determinism).
-    """
-    wanted = set(misclassified)
-    stats = sorted((s for s in relevance_stats if s.sample_id in wanted), key=lambda s: s.sample_id)
-    return [stats[i].sample_id for i in _rank_off_box(stats, tau_rel)]

@@ -266,22 +266,11 @@ class AttentionSummary:
     patch: int
     grid: tuple[int, int]
     per_layer: tuple[np.ndarray, ...]
-    sample_ids: tuple[str, ...]
     class_labels: tuple[str, ...]
     conditions: tuple[str, ...]
     mean_by_class: dict[str, np.ndarray]
     mean_by_condition: dict[str, np.ndarray]
     patch_mass: np.ndarray  # (N, P): head-averaged mean-query distribution
-
-    def mass_on_gt(self, record: AnnotationRecord) -> float:
-        """Fraction of final-layer mean-query attention mass on patches
-        whose centers lie inside the record's box; the record's sample id
-        names the summary row (its first occurrence)."""
-        try:
-            row = self.sample_ids.index(record.sample_id)
-        except ValueError:
-            raise BehaviorError(f"sample {record.sample_id!r} not in attention summary") from None
-        return _mass_in_box(self, self.patch_mass[row], record)
 
 
 def _mass_in_box(vit, mass: np.ndarray, record: AnnotationRecord) -> float:
@@ -331,7 +320,6 @@ def extract_attention(
     if inference.attention is None:
         raise BehaviorError("model forward produced no attention caches")
     n = len(dataset)
-    sample_ids = dataset.sample_ids or tuple(f"sample-{i}" for i in range(n))
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)
     conds = tuple(conditions) if conditions is not None else ("",) * n
     final_mean_heads = inference.attention[-1].mean(axis=1)  # (N, P, P)
@@ -348,7 +336,6 @@ def extract_attention(
         patch=model.patch,
         grid=model.grid,
         per_layer=inference.attention,
-        sample_ids=tuple(sample_ids),
         class_labels=class_labels,
         conditions=conds,
         mean_by_class=_group_mean(class_labels),
@@ -358,20 +345,13 @@ def extract_attention(
 
 
 def mass_by_cell(
-    summary: AttentionSummary, records: Iterable[AnnotationRecord]
-) -> dict[tuple[str, object], float]:
-    """Mean attention-on-ground-truth per (class_label, condition) cell,
-    in the shape the augmentation planner consumes. Record i is the
-    summary's sample i."""
-    return _mass_by_cell(summary, summary.patch_mass, records)
-
-
-def _mass_by_cell(
     vit, patch_mass: np.ndarray, records: Iterable[AnnotationRecord]
 ) -> dict[tuple[str, object], float]:
-    """``mass_by_cell`` over any (N, P) patch mass, such as an inference
-    pass's, for readers that need no per-layer maps; ``vit`` as in
-    ``_mass_in_box``."""
+    """Mean attention-on-ground-truth per (class_label, condition) cell,
+    in the shape the augmentation planner consumes: the share of each
+    sample's (P,) row of ``patch_mass`` (an inference pass's or a
+    summary's) on patches centered in its box. Record i is row i;
+    ``vit`` as in ``_mass_in_box``."""
     records = tuple(records)
     if len(records) != len(patch_mass):
         raise BehaviorError(f"{len(records)} records for {len(patch_mass)} summarized samples")

@@ -29,7 +29,7 @@ from .audit import (
     run_mitigation,
 )
 from .augment import attention_guided_augment_plan, materialize_plan
-from .behavior import _mass_by_cell, export_heatmap, lrp_propagate
+from .behavior import export_heatmap, lrp_propagate, mass_by_cell
 from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights
 from .manifest import (
@@ -347,7 +347,7 @@ def cmd_augment(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     data = dataset_from_manifest(manifest, cfg.values["images_root"])
     patch_mass = _vit_pass(model, data.dataset.images).patch_mass
-    masses = _mass_by_cell(model, patch_mass, data.manifest.records)
+    masses = mass_by_cell(model, patch_mass, data.manifest.records)
     plan = attention_guided_augment_plan(
         masses,
         compute_distribution(data.manifest),
@@ -601,8 +601,10 @@ _NOT_CONFIG_KEYS = ("out", "config")
 _MANIFEST = Flag("--manifest", "annotation manifest (JSONL)", required=True)
 _IMAGES_ROOT = Flag("--images-root", "root directory for manifest image refs")
 _SNAPSHOT = Flag("--snapshot", "trained tiny_vit snapshot", required=True)
-_TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", 0.3, float)
-_KAPPA = Flag("--kappa", "augmentation volume scale", 1.0, float)
+# The "training" and "audit" rows take their defaults from the API's.
+_TRAIN, _AUDIT = TrainConfig(), AuditOptions()
+_TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", _AUDIT.tau_att, float)
+_KAPPA = Flag("--kappa", "augmentation volume scale", _AUDIT.kappa, float)
 _SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
 
 GROUPS: dict[str, tuple[Flag, ...]] = {
@@ -624,29 +626,29 @@ GROUPS: dict[str, tuple[Flag, ...]] = {
         Flag("--mlp-ratio", "ViT MLP width ratio", 2.0, float),
     ),
     "training": (
-        Flag("--learning-rate", "Adam base learning rate", 1e-3, float),
-        Flag("--batch-size", "minibatch size", 32, int),
-        Flag("--epochs", "training epochs", 10, int),
-        Flag("--weight-decay", "L2 decay on matrix/kernel parameters", 1e-4, float),
-        Flag("--dropout", "dropout rate (ViT blocks and embeddings)", 0.0, float),
-        Flag("--lr-schedule", "learning-rate schedule", "constant", choices=("constant", "step", "linear")),
-        Flag("--box-loss-weight", "box regression loss scale", 1.0, float),
+        Flag("--learning-rate", "Adam base learning rate", _TRAIN.learning_rate, float),
+        Flag("--batch-size", "minibatch size", _TRAIN.batch_size, int),
+        Flag("--epochs", "training epochs", _TRAIN.epochs, int),
+        Flag("--weight-decay", "L2 decay on matrix/kernel parameters", _TRAIN.weight_decay, float),
+        Flag("--dropout", "dropout rate (ViT blocks and embeddings)", _TRAIN.dropout, float),
+        Flag("--lr-schedule", "learning-rate schedule", _TRAIN.lr_schedule.kind, choices=("constant", "step", "linear")),
+        Flag("--box-loss-weight", "box regression loss scale", _TRAIN.box_loss_weight, float),
     ),
     "audit": (
-        Flag("--split", "train/val/test fractions, comma-separated", "0.7,0.15,0.15"),
-        Flag("--iou-threshold", "detection match IoU threshold", 0.5, float),
-        Flag("--probe-per-class", "probe samples per class for behavior scores", 32, int),
-        Flag("--sensitivity-samples", "samples per class for gradient sensitivity", 16, int),
+        Flag("--split", "train/val/test fractions, comma-separated", ",".join(map(str, _AUDIT.split))),
+        Flag("--iou-threshold", "detection match IoU threshold", _AUDIT.iou_threshold, float),
+        Flag("--probe-per-class", "probe samples per class for behavior scores", _AUDIT.probe_per_class, int),
+        Flag("--sensitivity-samples", "samples per class for gradient sensitivity", _AUDIT.sensitivity_samples, int),
         _TAU_ATT,
         _KAPPA,
-        Flag("--tau-rel", "in-box relevance threshold for duplication", 0.5, float),
-        Flag("--eta", "weight recalibration step size", 0.5, float),
-        Flag("--target-recall", "recall target for recalibration (default: best observed)", type=float),
-        Flag("--max-iterations", "recalibration iteration cap", 10, int),
-        Flag("--epsilon-gap", "recall gap declaring convergence", 0.05, float),
-        Flag("--fn-threshold", "FN-rate delta for an 'improved' verdict", -0.02, float),
-        Flag("--ap-threshold", "AP delta for an 'improved' verdict", 0.01, float),
-        Flag("--track-sensitivity", "also track gradient sensitivity per epoch", False, action="store_true"),
+        Flag("--tau-rel", "in-box relevance threshold for duplication", _AUDIT.tau_rel, float),
+        Flag("--eta", "weight recalibration step size", _AUDIT.eta, float),
+        Flag("--target-recall", "recall target for recalibration (default: best observed)", _AUDIT.target_recall, float),
+        Flag("--max-iterations", "recalibration iteration cap", _AUDIT.max_recal_iterations, int),
+        Flag("--epsilon-gap", "recall gap declaring convergence", _AUDIT.epsilon_gap, float),
+        Flag("--fn-threshold", "FN-rate delta for an 'improved' verdict", _AUDIT.fn_delta_threshold, float),
+        Flag("--ap-threshold", "AP delta for an 'improved' verdict", _AUDIT.ap_delta_threshold, float),
+        Flag("--track-sensitivity", "also track gradient sensitivity per epoch", _AUDIT.track_sensitivity, action="store_true"),
     ),
 }
 

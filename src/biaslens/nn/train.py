@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -61,17 +61,9 @@ class TrainConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "weight_decay": self.weight_decay,
-            "dropout": self.dropout,
-            "lr_schedule": self.lr_schedule.to_json_dict(),
-            "seed": self.seed,
-            "box_loss_weight": self.box_loss_weight,
-            "max_steps": self.max_steps,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["lr_schedule"] = self.lr_schedule.to_json_dict()
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TrainConfig":

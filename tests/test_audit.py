@@ -35,6 +35,7 @@ from biaslens.audit import (
 from biaslens.losses import ClassWeights
 from biaslens.manifest import Condition
 from biaslens.nn.models import TinyViT, build_model
+from biaslens.nn.optim import StepDecayLR
 from biaslens.nn.train import TrainConfig
 from biaslens.nn.train import evaluate
 from biaslens.synthetic import (
@@ -569,6 +570,19 @@ class TestAuditOptions:
         blob = canonical_json(small_options().to_json_dict())
         assert '"seed":0' in blob
         assert json.loads(blob)["split"] == [0.7, 0.15, 0.15]
+
+    def test_config_hash_is_pinned(self):
+        # Run-directory names embed the hash, so the serialized fields,
+        # their values and their nesting must not drift.
+        assert AuditOptions().config_hash() == "6638922d58e3"
+        vit = AuditOptions(
+            model_kind="tiny_vit",
+            train=TrainConfig(lr_schedule=StepDecayLR(), max_steps=7, seed=3),
+            split=(0.6, 0.2, 0.2),
+            arch={"patch": 4, "dim": 8},
+            target_recall=0.7,
+        )
+        assert vit.config_hash() == "3cb93dc7003c"
 
 
 class TestBiasReportText:

@@ -17,8 +17,8 @@ from biaslens.augment import (
     apply_augment,
     attention_guided_augment_plan,
     inverse_op,
-    lrp_informed_sample_plan,
     materialize_plan,
+    rank_off_box,
     transform_bbox,
     transform_image,
 )
@@ -274,41 +274,29 @@ class TestRelevanceInformedPlan:
     @staticmethod
     def _stats():
         return [
-            SampleRelevanceStat("a", in_box_fraction=0.1, loss=1.0),
-            SampleRelevanceStat("b", in_box_fraction=0.2, loss=2.0),
-            SampleRelevanceStat("c", in_box_fraction=0.9, loss=3.0),
-            SampleRelevanceStat("d", in_box_fraction=0.05, loss=0.5),
+            SampleRelevanceStat(in_box_fraction=0.1, loss=1.0),
+            SampleRelevanceStat(in_box_fraction=0.2, loss=2.0),
+            SampleRelevanceStat(in_box_fraction=0.9, loss=3.0),
+            SampleRelevanceStat(in_box_fraction=0.05, loss=0.5),
         ]
 
     def test_orders_by_descending_loss(self):
-        plan = lrp_informed_sample_plan(self._stats(), misclassified=["a", "b", "d"])
-        assert plan == ["b", "a", "d"]
+        assert rank_off_box(self._stats()) == [1, 0, 3]
 
     def test_high_in_box_fraction_excluded(self):
-        plan = lrp_informed_sample_plan(self._stats(), misclassified=["a", "b", "c", "d"])
-        assert "c" not in plan
-
-    def test_correctly_classified_excluded(self):
-        plan = lrp_informed_sample_plan(self._stats(), misclassified=["b"])
-        assert plan == ["b"]
+        assert 2 not in rank_off_box(self._stats())
 
     def test_tau_rel_widens_or_narrows_selection(self):
         stats = self._stats()
-        wide = lrp_informed_sample_plan(stats, ["a", "b", "c", "d"], tau_rel=0.95)
-        narrow = lrp_informed_sample_plan(stats, ["a", "b", "c", "d"], tau_rel=0.07)
-        assert set(wide) == {"a", "b", "c", "d"}
-        assert narrow == ["d"]
+        assert sorted(rank_off_box(stats, tau_rel=0.95)) == [0, 1, 2, 3]
+        assert rank_off_box(stats, tau_rel=0.07) == [3]
 
-    def test_loss_ties_break_by_id(self):
-        stats = [
-            SampleRelevanceStat("z", in_box_fraction=0.0, loss=1.0),
-            SampleRelevanceStat("a", in_box_fraction=0.0, loss=1.0),
-        ]
-        assert lrp_informed_sample_plan(stats, ["z", "a"]) == ["a", "z"]
+    def test_loss_ties_keep_position_order(self):
+        stats = [SampleRelevanceStat(in_box_fraction=0.0, loss=1.0)] * 3
+        assert rank_off_box(stats) == [0, 1, 2]
 
     def test_empty_inputs_give_empty_plan(self):
-        assert lrp_informed_sample_plan([], []) == []
-        assert lrp_informed_sample_plan(self._stats(), []) == []
+        assert rank_off_box([]) == []
 
 
 class TestOpSerialization:

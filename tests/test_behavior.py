@@ -527,27 +527,27 @@ class TestAttentionExtraction:
         summary = extract_attention(model, vit_dataset(n=3))
         npt.assert_allclose(summary.patch_mass, np.full((3, 16), 1 / 16.0), atol=1e-15)
 
+    @staticmethod
+    def _one_mass(summary, row, record):
+        """``mass_by_cell`` of one summary row and its record."""
+        cells = mass_by_cell(summary, summary.patch_mass[row : row + 1], [record])
+        return cells[(record.class_label, record.condition)]
+
     def test_mass_on_gt_under_uniform_attention(self):
         model = uniform_attention_vit()
         summary = extract_attention(model, vit_dataset(n=2))
-        record = make_record(sample_id="s0", bbox=(0, 0, 5, 21), image_size=(32, 32))
-        npt.assert_allclose(summary.mass_on_gt(record), 3 / 16.0, atol=1e-12)
-        whole = make_record(sample_id="s0", bbox=(0, 0, 32, 32), image_size=(32, 32))
-        npt.assert_allclose(summary.mass_on_gt(whole), 1.0, atol=1e-12)
-        half = make_record(sample_id="s1", bbox=(0, 0, 32, 13), image_size=(32, 32))
-        npt.assert_allclose(summary.mass_on_gt(half), 0.5, atol=1e-12)
-
-    def test_unknown_sample_rejected(self):
-        summary = extract_attention(tiny_vit(), vit_dataset(n=2))
-        record = make_record(sample_id="ghost", image_size=(32, 32))
-        with pytest.raises(BehaviorError, match="ghost"):
-            summary.mass_on_gt(record)
+        record = make_record(bbox=(0, 0, 5, 21), image_size=(32, 32))
+        npt.assert_allclose(self._one_mass(summary, 0, record), 3 / 16.0, atol=1e-12)
+        whole = make_record(bbox=(0, 0, 32, 32), image_size=(32, 32))
+        npt.assert_allclose(self._one_mass(summary, 0, whole), 1.0, atol=1e-12)
+        half = make_record(bbox=(0, 0, 32, 13), image_size=(32, 32))
+        npt.assert_allclose(self._one_mass(summary, 1, half), 0.5, atol=1e-12)
 
     def test_frame_mismatch_rejected(self):
         summary = extract_attention(tiny_vit(), vit_dataset(n=2))
-        record = make_record(sample_id="s0", bbox=(0, 0, 10, 10), image_size=(16, 16))
+        record = make_record(bbox=(0, 0, 10, 10), image_size=(16, 16))
         with pytest.raises(BehaviorError, match="frame"):
-            summary.mass_on_gt(record)
+            self._one_mass(summary, 0, record)
 
     def test_condition_means_only_with_conditions(self):
         data = vit_dataset(n=4)
@@ -576,14 +576,14 @@ class TestAttentionExtraction:
             make_record(sample_id="s2", class_label="bar", bbox=(0, 0, 32, 32),
                         condition=Condition.NIGHT, image_size=(32, 32)),
         ]
-        cells = mass_by_cell(summary, records)
+        cells = mass_by_cell(summary, summary.patch_mass, records)
         npt.assert_allclose(cells[("disk", Condition.NORMAL)], (3 / 16 + 0.5) / 2, atol=1e-12)
         npt.assert_allclose(cells[("bar", Condition.NIGHT)], 1.0, atol=1e-12)
 
     def test_mass_by_cell_needs_one_record_per_sample(self):
         summary = extract_attention(uniform_attention_vit(), vit_dataset(n=3))
         with pytest.raises(BehaviorError, match="2 records for 3"):
-            mass_by_cell(summary, [make_record(sample_id=f"s{i}") for i in range(2)])
+            mass_by_cell(summary, summary.patch_mass, [make_record(sample_id=f"s{i}") for i in range(2)])
 
 
 class TestPlateauDetection:

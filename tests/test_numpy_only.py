@@ -1,8 +1,10 @@
-"""The numpy-only import path: the dataset tools, the CLI and TinyCNN runs
-never load scipy; only TinyViT's GELU does, for ``erf``."""
+"""The import paths: the dataset tools, the CLI and TinyCNN runs never load
+scipy (only TinyViT's GELU does, for ``erf``); the dataset tools load no
+training stack; and the README's API example imports what it names."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -17,13 +19,14 @@ import biaslens
 from biaslens.synthetic import _box_blur3
 
 SRC = str(Path(biaslens.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
+def modules_after(code: str, prefix: str = "scipy") -> list[str]:
+    """Run ``code`` in a fresh interpreter; the modules under ``prefix`` it loaded."""
     script = (
         f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"
-        "import json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+        f"import json; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -56,7 +59,7 @@ manifest = write_synthetic_dataset(data, out / "data")
 assert main(["analyze", "--manifest", str(manifest), "--out", str(out / "a")]) == 0
 assert main(["resample", "--manifest", str(manifest), "--out", str(out / "r")]) == 0
 """
-        assert scipy_modules_after(code) == []
+        assert modules_after(code) == []
 
     def test_tinyvit_forward_loads_scipy_special(self):
         code = """
@@ -67,7 +70,17 @@ model = TinyViT(input_hw=(8, 8), patch=4, dim=8, n_heads=2, n_layers=1)
 assert not any(m.startswith("scipy") for m in sys.modules)
 model.forward(np.zeros((1, 1, 8, 8)))
 """
-        assert "scipy.special" in scipy_modules_after(code)
+        assert "scipy.special" in modules_after(code)
+
+    def test_dataset_tools_load_no_training_stack(self):
+        loaded = modules_after("import biaslens.manifest, biaslens.sampling", "biaslens")
+        assert loaded == ["biaslens", "biaslens.manifest", "biaslens.sampling"]
+
+    def test_readme_example_imports_resolve(self):
+        block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+        imports = [n for n in ast.parse(block).body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert imports
+        exec(compile(ast.Module(body=imports, type_ignores=[]), str(README), "exec"), {})
 
 
 class TestBoxBlur:
