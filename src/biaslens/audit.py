@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -50,7 +50,7 @@ from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
 from .nn.train import ArrayDataset, LossFn, TrainConfig, _forward_pass, evaluate, stratified_split, train
-from .sampling import ResamplePlan, _combined_rows
+from .sampling import ResamplePlan, combined_rows
 from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
@@ -125,20 +125,20 @@ class BiasReport:
     verdicts: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "options": self.options,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "pre": self.pre,
-            "correlation": self.correlation,
+        """Every field; the post-mitigation ones only once they are set."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.default is MISSING or getattr(self, f.name) is not None
         }
-        if self.post is not None:
-            out["post"] = self.post
-            out["mitigation"] = self.mitigation
-            out["deltas"] = self.deltas
-            out["verdicts"] = self.verdicts
-        return out
+
+    @classmethod
+    def from_json_dict(cls, obj: Mapping) -> "BiasReport":
+        """The report of ``to_json_dict``; a missing required field is a
+        KeyError, and a key that names no field is ignored."""
+        return cls(
+            **{f.name: obj[f.name] if f.default is MISSING else obj.get(f.name) for f in fields(cls)}
+        )
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict()) + "\n"
@@ -444,7 +444,7 @@ def _resample_training(
     train_d: SyntheticData, seed: int
 ) -> tuple[SyntheticData, ResamplePlan]:
     """Median-equalize the training split, records and rows together."""
-    rows, plan = _combined_rows(train_d.manifest, seed=seed)
+    rows, plan = combined_rows(train_d.manifest, seed=seed)
     return train_d.subset(rows), plan
 
 
@@ -566,18 +566,7 @@ def run_mitigation(
         else:
             verdicts[c] = "unchanged"
 
-    report = BiasReport(
-        dataset=run.report.dataset,
-        options=run.report.options,
-        seed=run.report.seed,
-        config_hash=run.report.config_hash,
-        pre=run.report.pre,
-        correlation=run.report.correlation,
-        post=post,
-        mitigation=mitigation,
-        deltas=deltas,
-        verdicts=verdicts,
-    )
+    report = replace(run.report, post=post, mitigation=mitigation, deltas=deltas, verdicts=verdicts)
     new_run = AuditRun(
         data=run.data,
         options=options,

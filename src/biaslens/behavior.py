@@ -262,12 +262,9 @@ class AttentionSummary:
     final-layer mean-query mass per sample, and per-class/condition mean
     maps (entrywise means of row-stochastic matrices)."""
 
-    image_hw: tuple[int, int]
     patch: int
     grid: tuple[int, int]
     per_layer: tuple[np.ndarray, ...]
-    class_labels: tuple[str, ...]
-    conditions: tuple[str, ...]
     mean_by_class: dict[str, np.ndarray]
     mean_by_condition: dict[str, np.ndarray]
     patch_mass: np.ndarray  # (N, P): head-averaged mean-query distribution
@@ -319,9 +316,7 @@ def extract_attention(
     inference = _forward_pass(model, dataset.images, attention=True)
     if inference.attention is None:
         raise BehaviorError("model forward produced no attention caches")
-    n = len(dataset)
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)
-    conds = tuple(conditions) if conditions is not None else ("",) * n
     final_mean_heads = inference.attention[-1].mean(axis=1)  # (N, P, P)
 
     def _group_mean(key: Sequence[str]) -> dict[str, np.ndarray]:
@@ -332,14 +327,11 @@ def extract_attention(
         return out
 
     return AttentionSummary(
-        image_hw=tuple(model.arch["input_hw"]),
         patch=model.patch,
         grid=model.grid,
         per_layer=inference.attention,
-        class_labels=class_labels,
-        conditions=conds,
         mean_by_class=_group_mean(class_labels),
-        mean_by_condition=_group_mean(conds) if conditions is not None else {},
+        mean_by_condition=_group_mean(tuple(conditions)) if conditions is not None else {},
         patch_mass=inference.patch_mass,
     )
 

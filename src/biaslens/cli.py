@@ -3,13 +3,14 @@
 Every flag is one ``Flag`` row holding its flag, type, default, help and
 choices or action: in ``COMMON``, in one of the ``GROUPS`` or in a
 ``SUBCOMMANDS`` entry. The parser, ``--help``, each subcommand's defaults and
-the type check of ``--config`` files are all derived from those rows, so a
-new flag is one row of the table.
+the type check and conversion of ``--config`` values are all derived from
+those rows, so a new flag is one row of the table.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .manifest import (
     load_manifest,
     write_manifest,
 )
+from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
 from .nn.train import TrainConfig, _forward_pass, train
 from .nn.optim import schedule_from_config
@@ -129,7 +131,14 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
                 raise CLIError(
                     f"config file {path}: {key} must be {flag.kind.__name__}, got {value!r}"
                 )
-        resolved.update(file_values)
+            if flag.choices is not None and value not in flag.choices:
+                raise CLIError(
+                    f"config file {path}: {key} must be one of {', '.join(flag.choices)}, got {value!r}"
+                )
+            try:  # as the flag parses it: an integer for a float flag becomes a float
+                resolved[key] = value if value is None else flag.kind(value)
+            except OverflowError:
+                raise CLIError(f"config file {path}: {key} is too large for a float") from None
     resolved.update(explicit)
     if "seed" in flags and resolved.get("seed") is None:
         env = os.environ.get(ENV_SEED)
@@ -170,89 +179,70 @@ def _load_data(cfg: RunConfig) -> SyntheticData:
         if root is None:
             raise CLIError("--images-root is required when loading from --manifest")
         return dataset_from_manifest(manifest, root)
-    spec = v.get("synthetic") or "balanced"
-    shares = parse_share_spec(spec)
-    side = int(v["image_size"])
+    side = v["image_size"]
     return generate_synthetic(
         SyntheticConfig(
-            n_samples=int(v["n_samples"]),
-            shares=shares,
+            n_samples=v["n_samples"],
+            shares=parse_share_spec(v.get("synthetic") or "balanced"),
             image_hw=(side, side),
-            seed=int(v["seed"]),
+            seed=v["seed"],
         )
     )
 
 
-def _arch_from_config(cfg: RunConfig, data: SyntheticData) -> dict:
-    """Model architecture from the flags; the input size comes from the
+# Keys whose API field is named differently; every other key is its field's name.
+_API_NAMES = {
+    "model": "model_kind",
+    "heads": "n_heads",
+    "layers": "n_layers",
+    "max_iterations": "max_recal_iterations",
+    "fn_threshold": "fn_delta_threshold",
+    "ap_threshold": "ap_delta_threshold",
+}
+
+
+def _api_values(cfg: RunConfig, group: str) -> dict:
+    """The resolved values of one of the ``GROUPS``, under their API names."""
+    return {_API_NAMES.get(f.key, f.key): cfg.values[f.key] for f in GROUPS[group]}
+
+
+def _model_options(cfg: RunConfig, data: SyntheticData) -> dict:
+    """``model_kind`` and ``arch`` of AuditOptions. The arch holds the rows
+    the chosen model's constructor takes; the input size comes from the
     loaded images, which for --manifest data is the manifest's, not
     --image-size."""
-    v = cfg.values
-    h, w = data.dataset.images.shape[2:]
-    arch: dict = {"input_hw": (h, w)}
-    if v["model"] == "tiny_cnn":
-        channels = _parse_tuple(v["channels"], "--channels")
-        if len(channels) != 2:
-            raise CLIError(f"--channels expects two values, got {v['channels']!r}")
-        arch.update({"channels": channels, "kernel": int(v["kernel"])})
-    else:
-        arch.update(
-            {
-                "patch": int(v["patch"]),
-                "dim": int(v["dim"]),
-                "n_heads": int(v["heads"]),
-                "n_layers": int(v["layers"]),
-                "mlp_ratio": float(v["mlp_ratio"]),
-            }
-        )
-    return arch
+    values = _api_values(cfg, "model")
+    model_kind = values["model_kind"]
+    params = inspect.signature(_MODELS[model_kind]).parameters
+    arch = {k: v for k, v in values.items() if k in params}
+    arch["input_hw"] = data.dataset.images.shape[2:]
+    if "channels" in arch:
+        arch["channels"] = _parse_tuple(arch["channels"], "--channels")
+        if len(arch["channels"]) != 2:
+            raise CLIError(f"--channels expects two values, got {cfg.values['channels']!r}")
+    return {"model_kind": model_kind, "arch": arch}
 
 
 def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
-    v = cfg.values
-    return TrainConfig(
-        learning_rate=float(v["learning_rate"]),
-        batch_size=int(v["batch_size"]),
-        epochs=int(v["epochs"]),
-        weight_decay=float(v["weight_decay"]),
-        dropout=float(v["dropout"]),
-        lr_schedule=schedule_from_config({"kind": v["lr_schedule"]}),
-        seed=seed,
-        box_loss_weight=float(v["box_loss_weight"]),
-    )
+    values = _api_values(cfg, "training")
+    values["lr_schedule"] = schedule_from_config({"kind": values["lr_schedule"]})
+    return TrainConfig(**values, seed=seed)
 
 
 def _audit_options(cfg: RunConfig, seed: int, data: SyntheticData) -> AuditOptions:
-    v = cfg.values
-    split = _parse_tuple(v["split"], "--split", float)
-    if len(split) != 3:
-        raise CLIError(f"--split expects three fractions, got {v['split']!r}")
+    values = _api_values(cfg, "audit")
+    values["split"] = _parse_tuple(values["split"], "--split", float)
+    if len(values["split"]) != 3:
+        raise CLIError(f"--split expects three fractions, got {cfg.values['split']!r}")
     return AuditOptions(
-        model_kind=v["model"],
-        train=_train_config(cfg, seed),
-        seed=seed,
-        split=split,  # type: ignore[arg-type]
-        iou_threshold=float(v["iou_threshold"]),
-        probe_per_class=int(v["probe_per_class"]),
-        sensitivity_samples=int(v["sensitivity_samples"]),
-        tau_att=float(v["tau_att"]),
-        kappa=float(v["kappa"]),
-        tau_rel=float(v["tau_rel"]),
-        eta=float(v["eta"]),
-        target_recall=v["target_recall"],
-        max_recal_iterations=int(v["max_iterations"]),
-        epsilon_gap=float(v["epsilon_gap"]),
-        fn_delta_threshold=float(v["fn_threshold"]),
-        ap_delta_threshold=float(v["ap_threshold"]),
-        arch=_arch_from_config(cfg, data),
-        track_sensitivity=bool(v["track_sensitivity"]),
+        **values, train=_train_config(cfg, seed), seed=seed, **_model_options(cfg, data)
     )
 
 
 def _seed_list(cfg: RunConfig) -> list[int]:
     if cfg.values.get("seeds"):
         return list(_parse_tuple(cfg.values["seeds"], "--seeds"))
-    return [int(cfg.values["seed"])]
+    return [cfg.values["seed"]]
 
 
 def _data_for_seed(cfg: RunConfig, seed: int) -> SyntheticData:
@@ -302,7 +292,7 @@ def cmd_resample(cfg: RunConfig) -> int:
         raise CLIError("--target applies to Oversample and Undersample only; Combined equalizes at the median")
     manifest = _load_manifest(cfg)
     counts = compute_distribution(manifest).counts
-    seed = int(cfg.values["seed"])
+    seed = cfg.values["seed"]
     if mode is ResampleMode.COMBINED:
         resampled, plan = combined_resample(manifest, seed=seed)
     else:
@@ -351,8 +341,8 @@ def cmd_augment(cfg: RunConfig) -> int:
     plan = attention_guided_augment_plan(
         masses,
         compute_distribution(data.manifest),
-        float(cfg.values["tau_att"]),
-        float(cfg.values["kappa"]),
+        cfg.values["tau_att"],
+        cfg.values["kappa"],
     )
     cfg.write()
     out = cfg.out_dir
@@ -374,14 +364,9 @@ def cmd_augment(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    seed = int(cfg.values["seed"])
+    seed = cfg.values["seed"]
     data = _load_data(cfg)
-    options = AuditOptions(
-        model_kind=cfg.values["model"],
-        train=_train_config(cfg, seed),
-        seed=seed,
-        arch=_arch_from_config(cfg, data),
-    )
+    options = AuditOptions(train=_train_config(cfg, seed), seed=seed, **_model_options(cfg, data))
     model = _build_audit_model(options, len(data.dataset.class_order))
     weights = None
     if cfg.values["weighted"]:
@@ -427,7 +412,7 @@ def _run_seeds(cfg: RunConfig, strategy_name: str | None) -> list[dict]:
     """Every seed's run under ``--out``, with the config and a summary.json."""
     cfg.write()
     seeds = _seed_list(cfg)
-    jobs = int(cfg.values["jobs"])
+    jobs = cfg.values["jobs"]
     payloads = [
         (cfg.values, cfg.subcommand, str(cfg.out_dir), seed, strategy_name)
         for seed in seeds
@@ -457,7 +442,7 @@ def cmd_mitigate(cfg: RunConfig) -> int:
 
 
 def cmd_recalibrate(cfg: RunConfig) -> int:
-    seed = int(cfg.values["seed"])
+    seed = cfg.values["seed"]
     data = _data_for_seed(cfg, seed)
     options = _audit_options(cfg, seed, data)
     state, rows = recalibration_loop(data, options)
@@ -488,19 +473,7 @@ def cmd_report(cfg: RunConfig) -> int:
     # Not JSON, or JSON not shaped like a report: bad input, not a runtime failure.
     try:
         obj = json.loads(report_path.read_text(encoding="utf-8"))
-        report = BiasReport(
-            dataset=obj["dataset"],
-            options=obj["options"],
-            seed=obj["seed"],
-            config_hash=obj["config_hash"],
-            pre=obj["pre"],
-            correlation=obj["correlation"],
-            post=obj.get("post"),
-            mitigation=obj.get("mitigation"),
-            deltas=obj.get("deltas"),
-            verdicts=obj.get("verdicts"),
-        )
-        text = report.text_summary()
+        text = BiasReport.from_json_dict(obj).text_summary()
     except (ValueError, RecursionError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise CLIError(f"{report_path} is not a readable report: {type(exc).__name__}: {exc}") from None
     if cfg.out_dir is not None:
@@ -522,7 +495,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
             raise CLIError(f"sample id {sample_id!r} not in dataset")
         index = ids.index(sample_id)
     else:
-        index = int(cfg.values["index"])
+        index = cfg.values["index"]
         if not (0 <= index < len(data.dataset)):
             raise CLIError(f"--index {index} out of range for {len(data.dataset)} samples")
         sample_id = (data.dataset.sample_ids or [f"sample-{index}"])[index]
@@ -530,7 +503,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
     source = cfg.values["source"]
     res = _vit_pass(model, data.dataset.images[index : index + 1], attention=True)
     if source == "attention":
-        layer = int(cfg.values["layer"])
+        layer = cfg.values["layer"]
         n_layers = len(res.attention)
         if not (-n_layers <= layer < n_layers):
             raise CLIError(f"--layer {layer} out of range for {n_layers} layers")
@@ -601,8 +574,11 @@ _NOT_CONFIG_KEYS = ("out", "config")
 _MANIFEST = Flag("--manifest", "annotation manifest (JSONL)", required=True)
 _IMAGES_ROOT = Flag("--images-root", "root directory for manifest image refs")
 _SNAPSHOT = Flag("--snapshot", "trained tiny_vit snapshot", required=True)
-# The "training" and "audit" rows take their defaults from the API's.
-_TRAIN, _AUDIT = TrainConfig(), AuditOptions()
+# The "data source", "model", "training" and "audit" rows take their
+# defaults from the API's.
+_SYNTHETIC, _TRAIN, _AUDIT = SyntheticConfig(), TrainConfig(), AuditOptions()
+_MODELS = {m.kind: m for m in (TinyCNN, TinyViT)}
+_CNN, _VIT = (inspect.signature(m).parameters for m in (TinyCNN, TinyViT))
 _TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", _AUDIT.tau_att, float)
 _KAPPA = Flag("--kappa", "augmentation volume scale", _AUDIT.kappa, float)
 _SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
@@ -610,20 +586,20 @@ _SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
 GROUPS: dict[str, tuple[Flag, ...]] = {
     "data source": (
         Flag("--synthetic", 'generated dataset spec: "balanced" or e.g. "imbalanced-90-5-5"'),
-        Flag("--n-samples", "synthetic sample count", 600, int),
-        Flag("--image-size", "synthetic square image side", 32, int),
+        Flag("--n-samples", "synthetic sample count", _SYNTHETIC.n_samples, int),
+        Flag("--image-size", "synthetic square image side", _SYNTHETIC.image_hw[0], int),
         Flag("--manifest", "annotation manifest (JSONL) instead of --synthetic"),
         _IMAGES_ROOT,
     ),
     "model": (
-        Flag("--model", "architecture", "tiny_cnn", choices=("tiny_cnn", "tiny_vit")),
-        Flag("--channels", "CNN conv channels, comma-separated pair", "8,16"),
-        Flag("--kernel", "CNN conv kernel size", 3, int),
-        Flag("--patch", "ViT patch side", 8, int),
-        Flag("--dim", "ViT embedding width", 32, int),
-        Flag("--heads", "ViT attention heads", 4, int),
-        Flag("--layers", "ViT transformer blocks", 4, int),
-        Flag("--mlp-ratio", "ViT MLP width ratio", 2.0, float),
+        Flag("--model", "architecture", _AUDIT.model_kind, choices=tuple(_MODELS)),
+        Flag("--channels", "CNN conv channels, comma-separated pair", ",".join(map(str, _CNN["channels"].default))),
+        Flag("--kernel", "CNN conv kernel size", _CNN["kernel"].default, int),
+        Flag("--patch", "ViT patch side", _VIT["patch"].default, int),
+        Flag("--dim", "ViT embedding width", _VIT["dim"].default, int),
+        Flag("--heads", "ViT attention heads", _VIT["n_heads"].default, int),
+        Flag("--layers", "ViT transformer blocks", _VIT["n_layers"].default, int),
+        Flag("--mlp-ratio", "ViT MLP width ratio", _VIT["mlp_ratio"].default, float),
     ),
     "training": (
         Flag("--learning-rate", "Adam base learning rate", _TRAIN.learning_rate, float),

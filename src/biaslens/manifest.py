@@ -150,6 +150,12 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.records)
 
+    def subset(self, rows) -> "DatasetManifest":
+        """The manifest of the records at ``rows``, in that order."""
+        return DatasetManifest(
+            records=tuple(self.records[i] for i in rows), taxonomy=self.taxonomy, seed=self.seed
+        )
+
 
 @dataclass(frozen=True)
 class ClassDistribution:

@@ -52,15 +52,6 @@ class SubsetSchedule:
     steps: tuple[SubsetStep, ...] = field(default_factory=tuple)
 
 
-def _take(manifest: DatasetManifest, rows) -> DatasetManifest:
-    """The manifest of the records at ``rows``, in that order."""
-    return DatasetManifest(
-        records=tuple(manifest.records[i] for i in rows),
-        taxonomy=manifest.taxonomy,
-        seed=manifest.seed,
-    )
-
-
 def _rows_by_class(manifest: DatasetManifest) -> dict[str, list[int]]:
     rows: dict[str, list[int]] = {}
     for i, record in enumerate(manifest.records):
@@ -118,7 +109,7 @@ def _undersample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int
     return sorted(kept)
 
 
-def _combined_rows(
+def combined_rows(
     manifest: DatasetManifest, seed: int = 0
 ) -> tuple[list[int], ResamplePlan]:
     """Rows that equalize all per-class counts at the median: undersample
@@ -131,7 +122,7 @@ def _combined_rows(
         manifest, ResamplePlan(under_targets, ResampleMode.UNDERSAMPLE, seed=seed)
     )
     picks = _oversample_rows(
-        _take(manifest, kept), ResamplePlan(over_targets, ResampleMode.OVERSAMPLE, seed=seed)
+        manifest.subset(kept), ResamplePlan(over_targets, ResampleMode.OVERSAMPLE, seed=seed)
     )
     plan = ResamplePlan(target_counts=over_targets, mode=ResampleMode.COMBINED, seed=seed)
     return [kept[i] for i in picks], plan
@@ -143,7 +134,7 @@ def random_oversample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetM
     Originals are always retained; duplicates are drawn uniformly with
     replacement, appended after the originals in sorted class order.
     """
-    return _take(manifest, _oversample_rows(manifest, plan))
+    return manifest.subset(_oversample_rows(manifest, plan))
 
 
 def random_undersample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:
@@ -151,15 +142,15 @@ def random_undersample(manifest: DatasetManifest, plan: ResamplePlan) -> Dataset
 
     Kept records stay in the manifest's canonical order.
     """
-    return _take(manifest, _undersample_rows(manifest, plan))
+    return manifest.subset(_undersample_rows(manifest, plan))
 
 
 def combined_resample(
     manifest: DatasetManifest, seed: int = 0
 ) -> tuple[DatasetManifest, ResamplePlan]:
     """Equalize all per-class counts at the median: undersample above, then oversample below."""
-    rows, plan = _combined_rows(manifest, seed)
-    return _take(manifest, rows), plan
+    rows, plan = combined_rows(manifest, seed)
+    return manifest.subset(rows), plan
 
 
 def apply_resample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:

@@ -15,7 +15,6 @@ from .augment import AugmentKind, AugmentOp, transform_bbox
 from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError
 from .nn.train import ArrayDataset
 from .pgm import read_pgm, write_pgm
-from .sampling import _take
 
 DEFAULT_CLASSES = ("disk", "bar", "cross")
 DEFAULT_CONDITION_MIX: dict[Condition, float] = {
@@ -78,16 +77,6 @@ class SyntheticConfig:
         if abs(mix_total - 1.0) > 1e-9:
             raise SyntheticError(f"condition mix sums to {mix_total}, expected 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "shares": list(self.shares),
-            "image_hw": list(self.image_hw),
-            "seed": self.seed,
-            "condition_mix": {c.value: p for c, p in self.condition_mix.items()},
-            "class_names": list(self.class_names),
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticData:
@@ -121,7 +110,7 @@ class SyntheticData:
 
     def subset(self, indices: np.ndarray) -> "SyntheticData":
         return SyntheticData(
-            manifest=_take(self.manifest, indices), dataset=self.dataset.subset(indices)
+            manifest=self.manifest.subset(indices), dataset=self.dataset.subset(indices)
         )
 
 

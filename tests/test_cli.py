@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biaslens.audit import AuditOptions, _build_audit_model, canonical_json, run_audit
-from biaslens.cli import SUBCOMMANDS, CLIError, main, resolve_config
+from biaslens.audit import AuditOptions, BiasReport, _build_audit_model, canonical_json, run_audit
+from biaslens.cli import SUBCOMMANDS, CLIError, build_parser, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.behavior import export_heatmap, lrp_propagate
 from biaslens.nn.models import TinyViT
@@ -373,6 +373,81 @@ class TestEveryConfigKey:
         assert from_file.read_bytes() == plain.read_bytes()
 
 
+# The row of every key a --config file may set, for each subcommand that reads one.
+CONFIG_ROWS = [
+    (sub, f)
+    for sub, spec in SUBCOMMANDS.items()
+    if any(f.flag == "--config" for f in spec.flags())
+    for f in spec.config_flags().values()
+]
+FLOAT_KEYS = [pytest.param(sub, f, id=f"{sub}-{f.key}") for sub, f in CONFIG_ROWS if f.kind is float]
+
+
+def _integral(key: str) -> int:
+    """An integer that every real-valued key accepts; the IoU threshold lies in (0, 1]."""
+    return 1 if key == "iou_threshold" else 0
+
+
+def _required_args(sub: str) -> list[str]:
+    return [a for f in SUBCOMMANDS[sub].flags() if f.required and f.key != "out" for a in (f.flag, "x")]
+
+
+def _resolve_argv(argv: list[str]):
+    """``resolve_config`` of a command line, as ``main`` calls it."""
+    explicit = vars(build_parser().parse_args(argv))
+    return resolve_config(explicit.pop("subcommand"), explicit, explicit.pop("out"))
+
+
+class TestConfigValueParsesLikeItsFlag:
+    @pytest.mark.parametrize("sub, flag", FLOAT_KEYS)
+    def test_integral_number_in_file_writes_the_flags_config_json(self, tmp_path, sub, flag):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({flag.key: _integral(flag.key)}), encoding="utf-8")
+        argv = [sub, *_required_args(sub)]
+        from_file = _resolve_argv([*argv, "--config", str(path), "--out", str(tmp_path / "file")])
+        from_flag = _resolve_argv([*argv, flag.flag, str(_integral(flag.key)), "--out", str(tmp_path / "flag")])
+        assert from_file.write().read_bytes() == from_flag.write().read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag", [p.values[1] for p in FLOAT_KEYS if p.values[0] == "audit"], ids=lambda f: f.key
+    )
+    def test_integral_number_in_file_gives_the_flags_audit(self, tmp_path, monkeypatch, flag):
+        hashes = []
+
+        def recording_run_audit(data, options, out_dir=None):
+            hashes.append(options.config_hash())
+            return run_audit(data, options, out_dir=out_dir)
+
+        monkeypatch.setattr("biaslens.cli.run_audit", recording_run_audit)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({flag.key: _integral(flag.key)}), encoding="utf-8")
+        argv = ["audit", *FAST_AUDIT, "--epochs", "1"]
+        assert main([*argv, "--config", str(path), "--out", str(tmp_path / "file")]) == 0
+        assert main([*argv, flag.flag, str(_integral(flag.key)), "--out", str(tmp_path / "flag")]) == 0
+        assert hashes[0] == hashes[1]
+        assert single_run_dir(tmp_path / "file").name == single_run_dir(tmp_path / "flag").name
+        config = [(tmp_path / side / "config.json").read_bytes() for side in ("file", "flag")]
+        assert config[0] == config[1]
+
+    @pytest.mark.parametrize("sub, flag", FLOAT_KEYS)
+    def test_integer_too_large_for_a_float_exits_1_naming_the_key(self, tmp_path, capsys, sub, flag):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({flag.key: 10**400}), encoding="utf-8")
+        argv = [sub, *_required_args(sub), "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"config file {path}: {flag.key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, key", [(sub, f.key) for sub, f in CONFIG_ROWS if f.choices])
+    def test_value_outside_the_choices_exits_1_naming_the_key(self, tmp_path, capsys, sub, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: "bogus"}), encoding="utf-8")
+        argv = [sub, *_required_args(sub), "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"config file {path}: {key} must be one of " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestAnalyze:
     def test_artifacts(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
@@ -670,6 +745,26 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path / "report.json") in err
+
+    @pytest.mark.parametrize("sides", ["pre-only", "pre+post"])
+    def test_report_json_round_trips_through_the_command(self, tmp_path, capsys, sides):
+        obj = json.loads(json.dumps(RENDERABLE_REPORT))
+        if sides == "pre-only":
+            for key in ("post", "mitigation", "deltas", "verdicts"):
+                del obj[key]
+        report = BiasReport(**obj)
+        assert BiasReport.from_json_dict(json.loads(report.to_json())).to_json() == report.to_json()
+        # A top-level key that names no report field is ignored.
+        (tmp_path / "report.json").write_text(report.to_json()[:-2] + ',"extra":1}\n', encoding="utf-8")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == report.text_summary()
+
+    @pytest.mark.parametrize("key", ["dataset", "options", "seed", "config_hash", "pre", "correlation"])
+    def test_missing_required_section_exits_1(self, tmp_path, capsys, key):
+        obj = {k: v for k, v in RENDERABLE_REPORT.items() if k != key}
+        (tmp_path / "report.json").write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        assert str(tmp_path / "report.json") in capsys.readouterr().err
 
     @given(obj=JSON_VALUES | damaged_reports())
     @settings(

@@ -13,12 +13,11 @@ from biaslens.sampling import (
     ResamplePlan,
     build_subset_schedule,
     combined_resample,
+    combined_rows,
     distribution_matches_targets,
     draw_subset,
     random_oversample,
     random_undersample,
-    _combined_rows,
-    _take,
 )
 
 from conftest import make_manifest, make_record
@@ -146,8 +145,8 @@ class TestCombinedResample:
         manifest = DatasetManifest(
             records=tuple(make_record(sample_id=f"r{i}", class_label=c) for i, c in enumerate(labels))
         )
-        rows, plan = _combined_rows(manifest, seed)
-        assert (_take(manifest, rows), plan) == combined_resample(manifest, seed)
+        rows, plan = combined_rows(manifest, seed)
+        assert (manifest.subset(rows), plan) == combined_resample(manifest, seed)
 
     @given(
         targets=st.fixed_dictionaries(
