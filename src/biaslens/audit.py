@@ -49,11 +49,14 @@ from .losses import ClassWeights, compute_class_weights, dynamic_weight_adjust, 
 from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
-from .nn.train import ArrayDataset, LossFn, TrainConfig, _forward_pass, evaluate, stratified_split, train
+from .nn.train import (
+    ArrayDataset, LossFn, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
+)
 from .sampling import ResamplePlan, combined_rows
 from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
+AUGMENT_NEEDS_VIT = "Augment strategy needs attention data: train with model_kind='tiny_vit'"
 
 
 class AuditError(ValueError):
@@ -90,6 +93,9 @@ class AuditOptions:
     ap_delta_threshold: float = 0.01
     arch: dict = field(default_factory=dict)
     track_sensitivity: bool = False
+
+    def __post_init__(self) -> None:
+        reject_non_finite(self)
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -369,14 +375,14 @@ def _split_data(
     return data.subset(idx[0]), data.subset(idx[1]), data.subset(idx[2]), idx
 
 
-def _build_audit_model(options: AuditOptions, n_classes: int):
+def build_audit_model(options: AuditOptions, n_classes: int):
     arch = {"kind": options.model_kind, "n_classes": n_classes, **options.arch}
     if options.model_kind == "tiny_vit":
         arch.setdefault("dropout", options.train.dropout)
     return build_model(arch, seed=options.seed)
 
 
-def _weighted_loss(weights: ClassWeights | None, class_order) -> LossFn | None:
+def weighted_loss(weights: ClassWeights | None, class_order) -> LossFn | None:
     """Cross-entropy weighted per class in ``class_order``; None (``train``'s
     unweighted default) without weights."""
     if weights is None:
@@ -390,7 +396,7 @@ def _train_once(
     val_data: ArrayDataset,
     weights: ClassWeights | None = None,
 ):
-    model = _build_audit_model(options, len(train_data.class_order))
+    model = build_audit_model(options, len(train_data.class_order))
     probe = balanced_probe(val_data, options.probe_per_class, seed=options.seed)
     tracker = BehaviorTracker(
         probe,
@@ -398,7 +404,7 @@ def _train_once(
         sensitivity_samples=options.sensitivity_samples,
     )
     cfg = options.train.with_seed(options.seed)
-    loss_fn = _weighted_loss(weights, train_data.class_order)
+    loss_fn = weighted_loss(weights, train_data.class_order)
     snapshot, trace = train(
         model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.hook()
     )
@@ -456,7 +462,7 @@ def _lrp_informed_rows(model, train_d: SyntheticData, probs: np.ndarray, tau_rel
     rows = np.flatnonzero(preds != train_d.dataset.labels)
     if not len(rows):
         return []
-    attention = _forward_pass(model, train_d.dataset.images[rows], attention=True).attention
+    attention = forward_pass(model, train_d.dataset.images[rows], attention=True).attention
     stats = []
     for j, i in enumerate(rows):
         record = train_d.manifest.records[i]
@@ -479,13 +485,11 @@ def _augment_training(
     again for their per-layer attention."""
     model = run.model
     if getattr(model, "kind", None) != "tiny_vit":
-        raise AuditError(
-            "Augment strategy needs attention data: train with model_kind='tiny_vit'"
-        )
+        raise AuditError(AUGMENT_NEEDS_VIT)
     options = run.options
     ds = train_d.dataset
     records = train_d.manifest.records
-    inference = _forward_pass(model, ds.images)
+    inference = forward_pass(model, ds.images)
     masses = mass_by_cell(model, inference.patch_mass, records)
     plan = attention_guided_augment_plan(
         masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa

@@ -1,6 +1,6 @@
 """Model-behavior bias metrics: neuron sensitivity and selectivity,
-per-epoch tracking with plateau detection, attention extraction and
-aggregation, and relevance propagation through self-attention."""
+per-epoch tracking, attention extraction and aggregation, and relevance
+propagation through self-attention."""
 
 from __future__ import annotations
 
@@ -14,11 +14,8 @@ import numpy as np
 
 from .manifest import AnnotationRecord
 from .nn.snapshot import ModelSnapshot, model_from_snapshot
-from .nn.train import INFERENCE_CHUNK, ArrayDataset, _forward_pass
+from .nn.train import INFERENCE_CHUNK, ArrayDataset, forward_pass
 from .pgm import write_pgm
-
-PLATEAU_DELTA = 0.01
-PLATEAU_WINDOW = 5
 
 _log = logging.getLogger(__name__)
 
@@ -44,7 +41,7 @@ def unit_activation_matrix(
     Units are conv channels (spatial mean) or embedding dims (patch
     mean); each tap maps to shape (n_samples, n_units).
     """
-    return _forward_pass(model, images, batch_size).unit_means
+    return forward_pass(model, images, batch_size).unit_means
 
 
 def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
@@ -142,42 +139,6 @@ class BehaviorScores:
     def epochs(self) -> list[int]:
         return sorted({r.epoch for r in self.records})
 
-    def mean_selectivity_by_class(self, epoch: int | None = None) -> dict[str, float]:
-        """Mean selectivity per class over all tracked units (last epoch
-        by default)."""
-        if not self.records:
-            raise BehaviorError("no behavior records collected")
-        if epoch is None:
-            epoch = self.epochs()[-1]
-        sums: dict[str, list[float]] = {}
-        for r in self.records:
-            if r.epoch == epoch:
-                sums.setdefault(r.class_label, []).append(r.selectivity)
-        return {c: sum(v) / len(v) for c, v in sums.items()}
-
-    def selectivity_series(self, class_label: str) -> list[tuple[int, float]]:
-        """Mean-over-units selectivity of one class per epoch."""
-        by_epoch: dict[int, list[float]] = {}
-        for r in self.records:
-            if r.class_label == class_label:
-                by_epoch.setdefault(r.epoch, []).append(r.selectivity)
-        return [(e, sum(v) / len(v)) for e, v in sorted(by_epoch.items())]
-
-    def plateaued_classes(
-        self, delta: float = PLATEAU_DELTA, window: int = PLATEAU_WINDOW
-    ) -> frozenset[str]:
-        """Classes whose mean selectivity improved less than ``delta``
-        over the last ``window`` epochs (shorter series use their span)."""
-        flagged = set()
-        for c in {r.class_label for r in self.records}:
-            series = [v for _, v in self.selectivity_series(c)]
-            if len(series) < 2:
-                continue
-            lo = max(0, len(series) - 1 - window)
-            if series[-1] - series[lo] < delta:
-                flagged.add(c)
-        return frozenset(flagged)
-
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -234,22 +195,6 @@ class BehaviorTracker:
             return self.observe(model, epoch)
 
         return _hook
-
-
-def track_behavior(
-    snapshots: Iterable[ModelSnapshot],
-    probe_set: ArrayDataset,
-    taps: Sequence[str] | None = None,
-    with_sensitivity: bool = False,
-    sensitivity_samples: int = 16,
-) -> BehaviorScores:
-    """Replay mode: recompute the behavior time series from saved
-    per-epoch snapshots (equals the series of a live tracker built with
-    the same arguments)."""
-    tracker = BehaviorTracker(probe_set, taps, with_sensitivity, sensitivity_samples)
-    for epoch, snap in enumerate(snapshots):
-        tracker.observe(model_from_snapshot(snap), epoch)
-    return tracker.scores
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +258,7 @@ def extract_attention(
         raise UnsupportedArchitectureError(
             f"attention extraction needs a tiny_vit model, got {getattr(model, 'kind', type(model).__name__)!r}"
         )
-    inference = _forward_pass(model, dataset.images, attention=True)
+    inference = forward_pass(model, dataset.images, attention=True)
     if inference.attention is None:
         raise BehaviorError("model forward produced no attention caches")
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)

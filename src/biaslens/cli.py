@@ -19,15 +19,16 @@ from pathlib import Path
 from typing import Callable
 
 from .audit import (
+    AUGMENT_NEEDS_VIT,
     AuditOptions,
     BiasReport,
     Strategy,
-    _build_audit_model,
-    _weighted_loss,
+    build_audit_model,
     canonical_json,
     recalibration_loop,
     run_audit,
     run_mitigation,
+    weighted_loss,
 )
 from .augment import attention_guided_augment_plan, materialize_plan
 from .behavior import export_heatmap, lrp_propagate, mass_by_cell
@@ -41,7 +42,7 @@ from .manifest import (
 )
 from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
-from .nn.train import TrainConfig, _forward_pass, train
+from .nn.train import TrainConfig, forward_pass, train
 from .nn.optim import schedule_from_config
 from .pgm import write_pgm
 from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
@@ -206,16 +207,13 @@ def _api_values(cfg: RunConfig, group: str) -> dict:
     return {_API_NAMES.get(f.key, f.key): cfg.values[f.key] for f in GROUPS[group]}
 
 
-def _model_options(cfg: RunConfig, data: SyntheticData) -> dict:
+def _model_options(cfg: RunConfig) -> dict:
     """``model_kind`` and ``arch`` of AuditOptions. The arch holds the rows
-    the chosen model's constructor takes; the input size comes from the
-    loaded images, which for --manifest data is the manifest's, not
-    --image-size."""
+    the chosen model's constructor takes; ``_for_data`` adds the input size."""
     values = _api_values(cfg, "model")
     model_kind = values["model_kind"]
     params = inspect.signature(_MODELS[model_kind]).parameters
     arch = {k: v for k, v in values.items() if k in params}
-    arch["input_hw"] = data.dataset.images.shape[2:]
     if "channels" in arch:
         arch["channels"] = _parse_tuple(arch["channels"], "--channels")
         if len(arch["channels"]) != 2:
@@ -229,14 +227,18 @@ def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
     return TrainConfig(**values, seed=seed)
 
 
-def _audit_options(cfg: RunConfig, seed: int, data: SyntheticData) -> AuditOptions:
+def _audit_options(cfg: RunConfig, seed: int) -> AuditOptions:
     values = _api_values(cfg, "audit")
     values["split"] = _parse_tuple(values["split"], "--split", float)
     if len(values["split"]) != 3:
         raise CLIError(f"--split expects three fractions, got {cfg.values['split']!r}")
-    return AuditOptions(
-        **values, train=_train_config(cfg, seed), seed=seed, **_model_options(cfg, data)
-    )
+    return AuditOptions(**values, train=_train_config(cfg, seed), seed=seed, **_model_options(cfg))
+
+
+def _for_data(options: AuditOptions, data: SyntheticData) -> AuditOptions:
+    """The options with the input size of the loaded images, which for
+    --manifest data is the manifest's, not --image-size."""
+    return replace(options, arch={**options.arch, "input_hw": data.dataset.images.shape[2:]})
 
 
 def _seed_list(cfg: RunConfig) -> list[int]:
@@ -329,7 +331,7 @@ def _vit_pass(model, images, attention: bool = False):
     """The inference pass of a ViT snapshot's model over ``images``."""
     if getattr(model, "kind", None) != "tiny_vit":
         raise CLIError("snapshot model exposes no attention; use a tiny_vit snapshot")
-    return _forward_pass(model, images, attention=attention)
+    return forward_pass(model, images, attention=attention)
 
 
 def cmd_augment(cfg: RunConfig) -> int:
@@ -365,13 +367,14 @@ def cmd_augment(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
+    options = AuditOptions(train=_train_config(cfg, seed), seed=seed, **_model_options(cfg))
     data = _load_data(cfg)
-    options = AuditOptions(train=_train_config(cfg, seed), seed=seed, **_model_options(cfg, data))
-    model = _build_audit_model(options, len(data.dataset.class_order))
+    options = _for_data(options, data)
+    model = build_audit_model(options, len(data.dataset.class_order))
     weights = None
     if cfg.values["weighted"]:
         weights = compute_class_weights(compute_distribution(data.manifest))
-    loss_fn = _weighted_loss(weights, data.dataset.class_order)
+    loss_fn = weighted_loss(weights, data.dataset.class_order)
     snapshot, trace = train(model, data.dataset, options.train, loss_fn=loss_fn)
     cfg.write()
     out = cfg.out_dir
@@ -385,17 +388,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _audit_one(payload: tuple) -> dict:
-    """One seed's audit (and optional mitigation); simple args so the
+    """One seed's audit (and optional mitigation); picklable args so the
     multi-seed path can run under a process pool deterministically."""
-    cfg_values, subcommand, out_dir, seed, strategy_name = payload
+    cfg_values, subcommand, out_dir, options, strategy = payload
     cfg = RunConfig(subcommand, Path(out_dir), cfg_values)
-    data = _data_for_seed(cfg, seed)
-    options = _audit_options(cfg, seed, data)
-    run = run_audit(data, options, out_dir=cfg.out_dir)
-    summary: dict = {"seed": seed, "run_dir": str(run.run_dir)}
+    data = _data_for_seed(cfg, options.seed)
+    run = run_audit(data, _for_data(options, data), out_dir=cfg.out_dir)
+    summary: dict = {"seed": options.seed, "run_dir": str(run.run_dir)}
     report = run.report
-    if strategy_name is not None:
-        mitigated = run_mitigation(run, Strategy(strategy_name), out_dir=cfg.out_dir)
+    if strategy is not None:
+        mitigated = run_mitigation(run, strategy, out_dir=cfg.out_dir)
         report = mitigated.report
         summary["run_dir"] = str(mitigated.run_dir)
         summary["verdicts"] = report.verdicts
@@ -408,16 +410,16 @@ def _audit_one(payload: tuple) -> dict:
     return summary
 
 
-def _run_seeds(cfg: RunConfig, strategy_name: str | None) -> list[dict]:
-    """Every seed's run under ``--out``, with the config and a summary.json."""
+def _run_seeds(cfg: RunConfig, strategy: Strategy | None) -> list[dict]:
+    """Every seed's run under ``--out``, with the config and a summary.json.
+    The whole request is checked before anything is written."""
+    options = [_audit_options(cfg, seed) for seed in _seed_list(cfg)]
+    if strategy is Strategy.AUGMENT and cfg.values["model"] != "tiny_vit":
+        raise CLIError(AUGMENT_NEEDS_VIT)
     cfg.write()
-    seeds = _seed_list(cfg)
     jobs = cfg.values["jobs"]
-    payloads = [
-        (cfg.values, cfg.subcommand, str(cfg.out_dir), seed, strategy_name)
-        for seed in seeds
-    ]
-    if jobs > 1 and len(seeds) > 1:
+    payloads = [(cfg.values, cfg.subcommand, str(cfg.out_dir), o, strategy) for o in options]
+    if jobs > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -435,7 +437,7 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 
 def cmd_mitigate(cfg: RunConfig) -> int:
-    for s in _run_seeds(cfg, cfg.values["strategy"]):
+    for s in _run_seeds(cfg, Strategy(cfg.values["strategy"])):
         verdicts = ", ".join(f"{c}={v}" for c, v in sorted(s["verdicts"].items()))
         print(f"seed {s['seed']}: accuracy {s['accuracy']:.4f} -> {s['post_accuracy']:.4f}; {verdicts}")
     return 0
@@ -443,9 +445,9 @@ def cmd_mitigate(cfg: RunConfig) -> int:
 
 def cmd_recalibrate(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
+    options = _audit_options(cfg, seed)
     data = _data_for_seed(cfg, seed)
-    options = _audit_options(cfg, seed, data)
-    state, rows = recalibration_loop(data, options)
+    state, rows = recalibration_loop(data, _for_data(options, data))
     cfg.write()
     payload = {
         "converged": state.converged,

@@ -4,7 +4,6 @@ detection score, and per-class FP/FN error analysis."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,14 +38,6 @@ class Detection:
             )
         if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
             raise MetricError(f"detection {self.sample_id!r}: score {self.score} outside [0,1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "class_label": self.class_label,
-            "bbox": list(self.bbox),
-            "score": self.score,
-        }
 
 
 @dataclass(frozen=True)
@@ -299,45 +290,6 @@ def per_class_errors(match: MatchResult) -> dict[str, PerClassErrors]:
             fn_rate=fn / n_gt if n_gt else 0.0,
         )
     return out
-
-
-def load_detections(path: str | Path) -> list[Detection]:
-    """Read detections from JSONL (sample_id, class_label, bbox, score).
-
-    Raises MetricError naming ``path:line`` for a line that is not UTF-8,
-    not JSON, or not one valid detection.
-    """
-    detections = []
-    with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                bbox = tuple(float(v) for v in obj["bbox"])
-                if len(bbox) != 4:
-                    raise MetricError(f"bbox must have 4 elements, got {len(bbox)}")
-                detections.append(
-                    Detection(
-                        sample_id=str(obj["sample_id"]),
-                        class_label=str(obj["class_label"]),
-                        bbox=bbox,  # type: ignore[arg-type]
-                        score=float(obj["score"]),
-                    )
-                )
-            # MetricError and the decode and JSON errors are ValueErrors.
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-                raise MetricError(f"{path}:{lineno}: malformed detection: {exc}") from None
-    return detections
-
-
-def write_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for det in detections:
-            fh.write(json.dumps(det.to_json_dict()) + "\n")
 
 
 def write_metrics_csv(

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class Condition(Enum):
@@ -277,43 +277,3 @@ def compute_distribution(manifest: DatasetManifest) -> ClassDistribution:
         per_condition=per_condition,
         total=total,
     )
-
-
-def condition_breakdown(
-    dist: ClassDistribution, class_label: str
-) -> dict[Condition, float]:
-    """Percent split of one class's instances across capture conditions.
-
-    Only conditions where the class actually occurs appear; the values
-    sum to 100.
-    """
-    if class_label not in dist.counts:
-        raise ManifestError(f"unknown class {class_label!r}")
-    class_total = dist.counts[class_label]
-    out: dict[Condition, float] = {}
-    for condition, cond_counts in dist.per_condition.items():
-        n = cond_counts.get(class_label, 0)
-        if n:
-            out[condition] = 100.0 * n / class_total
-    return out
-
-
-def labels_with_prefix(manifest: DatasetManifest, prefix: str) -> list[str]:
-    """Taxonomy labels under a dotted-hierarchy prefix, sorted.
-
-    The hierarchy is otherwise uninterpreted; this is the one explicit
-    prefix query.
-    """
-    dotted = prefix if prefix.endswith(".") else prefix + "."
-    return sorted(
-        label
-        for label in manifest.taxonomy
-        if label == prefix or label.startswith(dotted)
-    )
-
-
-def records_from_iter(
-    items: Iterable[AnnotationRecord], seed: int = 0
-) -> DatasetManifest:
-    """Build a manifest from records, taxonomy inferred from observed labels."""
-    return DatasetManifest(records=tuple(items), seed=seed)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..losses import softmax
-from .layers import Layer, ShapeError, _affine, _fan_in_uniform
+from .layers import Layer, ShapeError, affine, fan_in_uniform
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
@@ -42,7 +42,7 @@ class MultiHeadSelfAttention(Layer):
         self.dim, self.n_heads = dim, n_heads
         self.d_k = dim // n_heads
         self.params = {
-            name: _fan_in_uniform(rng, (dim, dim), dim) for name in ("Wq", "Wk", "Wv", "Wo")
+            name: fan_in_uniform(rng, (dim, dim), dim) for name in ("Wq", "Wk", "Wv", "Wo")
         }
         self.params.update(
             {name: np.zeros(dim) for name in ("bq", "bk", "bv", "bo")}
@@ -62,15 +62,15 @@ class MultiHeadSelfAttention(Layer):
         if x.ndim != 3 or x.shape[-1] != self.dim:
             raise ShapeError(f"attention expects (N, P, {self.dim}), got {x.shape}")
         self._x = x
-        q = self._split_heads(_affine(x, self.params["Wq"], self.params["bq"]))
-        k = self._split_heads(_affine(x, self.params["Wk"], self.params["bk"]))
-        v = self._split_heads(_affine(x, self.params["Wv"], self.params["bv"]))
+        q = self._split_heads(affine(x, self.params["Wq"], self.params["bq"]))
+        k = self._split_heads(affine(x, self.params["Wk"], self.params["bk"]))
+        v = self._split_heads(affine(x, self.params["Wv"], self.params["bv"]))
         a = attention_weights(q, k, self.d_k)
         ctx = a @ v
         merged = self._merge_heads(ctx)
         self._q, self._k, self._v, self._a, self._merged = q, k, v, a, merged
         self.last_attention = a
-        return _affine(merged, self.params["Wo"], self.params["bo"])
+        return affine(merged, self.params["Wo"], self.params["bo"])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, q, k, v, a = self._x, self._q, self._k, self._v, self._a

@@ -17,12 +17,12 @@ class ShapeError(ValueError):
     pass
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w + b`` with the bias added into the product's own buffer."""
     out = x @ w
     out += b
@@ -52,7 +52,7 @@ class Dense(Layer):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
         self.params = {
-            "W": _fan_in_uniform(rng, (in_dim, out_dim), in_dim),
+            "W": fan_in_uniform(rng, (in_dim, out_dim), in_dim),
             "b": np.zeros(out_dim),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -62,7 +62,7 @@ class Dense(Layer):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Dense expects last dim {self.in_dim}, got {x.shape}")
         self._x = x
-        return _affine(x, self.params["W"], self.params["b"])
+        return affine(x, self.params["W"], self.params["b"])
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
@@ -202,7 +202,7 @@ class Conv2D(Layer):
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = in_channels * kernel * kernel
         self.params = {
-            "W": _fan_in_uniform(rng, (out_channels, in_channels, kernel, kernel), fan_in),
+            "W": fan_in_uniform(rng, (out_channels, in_channels, kernel, kernel), fan_in),
             "b": np.zeros(out_channels),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}

@@ -23,7 +23,7 @@ from .layers import (
     MaxPool2D,
     ReLU,
     ShapeError,
-    _fan_in_uniform,
+    fan_in_uniform,
 )
 
 
@@ -58,9 +58,9 @@ class SpatialBoxHead(Layer):
         self._centers = np.stack([xs.ravel(), ys.ravel()], axis=1)  # (K, 2) as (cx, cy)
         self.feat_dim = feat_dim
         self.params = {
-            "score_w": _fan_in_uniform(rng, (feat_dim,), feat_dim),
+            "score_w": fan_in_uniform(rng, (feat_dim,), feat_dim),
             "score_b": np.zeros(1),
-            "size_W": _fan_in_uniform(rng, (feat_dim, 2), feat_dim),
+            "size_W": fan_in_uniform(rng, (feat_dim, 2), feat_dim),
             "size_b": np.zeros(2),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}

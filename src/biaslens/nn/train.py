@@ -26,6 +26,17 @@ INFERENCE_CHUNK = 32
 _ROW_BLOCK = 4
 
 
+def reject_non_finite(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass that
+    is, or holds in a tuple, a NaN or infinite real. A range check alone
+    lets NaN through, because every comparison with NaN is false."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 class TrainAbort(RuntimeError):
     """Raised when the loss goes non-finite; carries epoch and batch."""
 
@@ -49,6 +60,7 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -200,7 +212,7 @@ def _unit_means(act: np.ndarray) -> np.ndarray:
     return act
 
 
-def _forward_pass(
+def forward_pass(
     model, images: np.ndarray, batch_size: int = INFERENCE_CHUNK, attention: bool = False
 ) -> _Pass:
     """The batched inference loop every reader of a dataset shares.
@@ -249,7 +261,7 @@ def _forward_pass(
 def evaluate(model, dataset: ArrayDataset, batch_size: int = INFERENCE_CHUNK) -> dict:
     """Deterministic eval pass: probabilities, argmax predictions,
     per-class recall, and predicted boxes when the model has a head."""
-    out = _forward_pass(model, dataset.images, batch_size)
+    out = forward_pass(model, dataset.images, batch_size)
     preds = out.probs.argmax(axis=1)
     recalls: dict[str, float] = {}
     for k, name in enumerate(dataset.class_order):

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .manifest import ClassDistribution, DatasetManifest
+from .manifest import DatasetManifest
 
 # Guard added before floor() so decimal shares (0.67, 1/3) floor to their
 # exact-rational value despite binary float noise.
@@ -221,33 +221,3 @@ def build_subset_schedule(
             )
         )
     return SubsetSchedule(steps=tuple(steps))
-
-
-def draw_subset(
-    manifest: DatasetManifest, allocation: dict[str, int], seed: int = 0
-) -> DatasetManifest:
-    """Materialize one schedule step by undersampling to its allocation."""
-    counts = {c: len(rows) for c, rows in _rows_by_class(manifest).items()}
-    targets = {
-        c: n for c, n in allocation.items() if n <= counts.get(c, 0)
-    }
-    missing = {c: n for c, n in allocation.items() if n > counts.get(c, 0)}
-    if missing:
-        raise ResampleError(
-            f"manifest too small for allocation: needs {missing}, has "
-            f"{ {c: counts.get(c, 0) for c in missing} }"
-        )
-    plan = ResamplePlan(targets, ResampleMode.UNDERSAMPLE, seed=seed)
-    subset = random_undersample(manifest, plan)
-    keep = {c for c in allocation}
-    return DatasetManifest(
-        records=tuple(r for r in subset.records if r.class_label in keep),
-        taxonomy=manifest.taxonomy,
-        seed=manifest.seed,
-    )
-
-
-def distribution_matches_targets(
-    dist: ClassDistribution, targets: dict[str, int]
-) -> bool:
-    return all(dist.counts.get(c, 0) == n for c, n in targets.items())

@@ -332,13 +332,13 @@ class TestAugmentPasses:
     def test_one_attention_pass_over_the_misclassified_rows(self, vit_run, monkeypatch):
         train = vit_run.data.subset(vit_run.splits[0])
         calls = []
-        forward_pass = audit_mod._forward_pass
+        forward_pass = audit_mod.forward_pass
 
         def spy(model, images, *args, **kwargs):
             calls.append((images.copy(), kwargs.get("attention", False)))
             return forward_pass(model, images, *args, **kwargs)
 
-        monkeypatch.setattr(audit_mod, "_forward_pass", spy)
+        monkeypatch.setattr(audit_mod, "forward_pass", spy)
         audit_mod._augment_training(vit_run, train)
         preds = evaluate(vit_run.model, train.dataset)["preds"]
         wrong = np.flatnonzero(preds != train.dataset.labels)
@@ -570,6 +570,17 @@ class TestAuditOptions:
         blob = canonical_json(small_options().to_json_dict())
         assert '"seed":0' in blob
         assert json.loads(blob)["split"] == [0.7, 0.15, 0.15]
+
+    @pytest.mark.parametrize(
+        "field",
+        ["iou_threshold", "tau_att", "kappa", "tau_rel", "eta", "target_recall", "epsilon_gap",
+         "fn_delta_threshold", "ap_delta_threshold", "split"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_real_rejected_by_name(self, field, value):
+        real = (0.7, value, 0.15) if field == "split" else value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AuditOptions(**{field: real})
 
     def test_config_hash_is_pinned(self):
         # Run-directory names embed the hash, so the serialized fields,

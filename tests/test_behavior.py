@@ -1,5 +1,5 @@
-"""Tests for sensitivity/selectivity, attention analysis, relevance
-propagation, plateau detection, and heatmap export."""
+"""Tests for sensitivity/selectivity, per-epoch tracking, attention analysis,
+relevance propagation, and heatmap export."""
 
 from __future__ import annotations
 
@@ -31,14 +31,13 @@ from biaslens.behavior import (
     selectivity_score,
     sensitivity_score,
     sensitivity_scores,
-    track_behavior,
     unit_activation_matrix,
     unit_class_activations,
 )
 from biaslens.manifest import Condition
 from biaslens.nn.models import ForwardResult, TinyCNN, TinyViT
 from biaslens.nn.snapshot import ModelSnapshot
-from biaslens.nn.train import ArrayDataset, TrainConfig, _forward_pass, evaluate, train
+from biaslens.nn.train import ArrayDataset, TrainConfig, evaluate, forward_pass, train
 
 from conftest import ForwardRecorder, make_record
 
@@ -284,7 +283,7 @@ def one_pass(request):
     keeps the attention maps."""
     model = CHUNKED_MODELS[request.param]()
     images = np.random.default_rng(7).random((300, 1, 32, 32))
-    return model, images, _forward_pass(model, images, attention=True)
+    return model, images, forward_pass(model, images, attention=True)
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +311,7 @@ class TestSinglePass:
         model, images, whole = one_pass
         bounds = sorted({0, n, *(c for c in cuts if c < n)})
         pieces = [
-            _forward_pass(model, images[a:b], batch_size, attention=True)
+            forward_pass(model, images[a:b], batch_size, attention=True)
             for a, b in zip(bounds, bounds[1:])
         ]
         npt.assert_array_equal(np.concatenate([p.probs for p in pieces]), whole.probs[:n])
@@ -336,8 +335,8 @@ class TestSinglePass:
     def test_pass_is_bit_identical_at_batch_2_and_256(self):
         model = tiny_vit(box_head=True)
         data = vit_dataset(n=5)
-        small = _forward_pass(model, data.images, batch_size=2, attention=True)
-        large = _forward_pass(model, data.images, batch_size=256, attention=True)
+        small = forward_pass(model, data.images, batch_size=2, attention=True)
+        large = forward_pass(model, data.images, batch_size=256, attention=True)
         npt.assert_array_equal(small.probs, large.probs)
         summary = extract_attention(model, data)
         assert len(small.attention) == 2
@@ -362,7 +361,7 @@ class TestSinglePass:
         model, images, summary = vit_pass
         bounds = sorted({0, n, *(c for c in cuts if c < n)})
         pieces = [
-            _forward_pass(model, images[a:b], batch_size) for a, b in zip(bounds, bounds[1:])
+            forward_pass(model, images[a:b], batch_size) for a, b in zip(bounds, bounds[1:])
         ]
         assert all(p.attention is None for p in pieces)
         expected = summary.per_layer[-1][:n].mean(axis=1).mean(axis=1)
@@ -586,57 +585,6 @@ class TestAttentionExtraction:
             mass_by_cell(summary, summary.patch_mass, [make_record(sample_id=f"s{i}") for i in range(2)])
 
 
-class TestPlateauDetection:
-    @staticmethod
-    def _scores(series_by_class: dict[str, list[float]]) -> BehaviorScores:
-        scores = BehaviorScores()
-        for c, series in series_by_class.items():
-            for epoch, s in enumerate(series):
-                scores.records.append(
-                    BehaviorRecord(epoch, "tap", 0, c, float("nan"), s)
-                )
-        return scores
-
-    def test_flat_series_is_flagged(self):
-        scores = self._scores({"a": [0.5] * 8})
-        assert scores.plateaued_classes() == frozenset({"a"})
-
-    def test_improving_series_is_not_flagged(self):
-        scores = self._scores({"a": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]})
-        assert scores.plateaued_classes() == frozenset()
-
-    def test_mixed_classes(self):
-        scores = self._scores(
-            {"flat": [0.2, 0.2, 0.2, 0.2, 0.2, 0.2], "rising": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]}
-        )
-        assert scores.plateaued_classes() == frozenset({"flat"})
-
-    def test_short_series_uses_available_span(self):
-        scores = self._scores({"a": [0.1, 0.11]})
-        assert scores.plateaued_classes(delta=0.05) == frozenset({"a"})
-        assert scores.plateaued_classes(delta=0.005) == frozenset()
-
-    def test_single_epoch_series_is_skipped(self):
-        scores = self._scores({"a": [0.3]})
-        assert scores.plateaued_classes() == frozenset()
-
-    def test_only_recent_window_counts(self):
-        # big early gain, flat tail within the window
-        series = [0.0, 0.9] + [0.9] * 6
-        scores = self._scores({"a": series})
-        assert scores.plateaued_classes(window=5) == frozenset({"a"})
-
-    def test_mean_selectivity_by_class(self):
-        scores = BehaviorScores()
-        for unit, s in enumerate((0.2, 0.4)):
-            scores.records.append(BehaviorRecord(0, "tap", unit, "a", float("nan"), s))
-        npt.assert_allclose(scores.mean_selectivity_by_class(0)["a"], 0.3)
-
-    def test_empty_scores_rejected(self):
-        with pytest.raises(BehaviorError, match="no behavior"):
-            BehaviorScores().mean_selectivity_by_class()
-
-
 class TestBehaviorTracking:
     @staticmethod
     def _dataset(n_per_class=8, seed=0):
@@ -684,47 +632,6 @@ class TestBehaviorTracking:
         only_a = data.subset(np.flatnonzero(data.labels == 0))
         with pytest.raises(BehaviorError, match="'b'"):
             BehaviorTracker(only_a)
-
-    def test_replay_from_snapshots_matches_live(self):
-        data = self._dataset()
-        probe = balanced_probe(data, per_class=4, seed=1)
-        tracker = BehaviorTracker(probe, taps=["conv2"])
-        snapshots = []
-
-        def hook(model, epoch, row):
-            out = tracker.observe(model, epoch)
-            snapshots.append(ModelSnapshot.from_model(model))
-            return out
-
-        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
-        train(model, data, TrainConfig(batch_size=8, epochs=3), epoch_hook=hook)
-
-        replayed = track_behavior(snapshots, probe, taps=["conv2"])
-        live = tracker.scores
-        assert len(replayed.records) == len(live.records)
-        for c in ("a", "b"):
-            assert replayed.selectivity_series(c) == live.selectivity_series(c)
-
-    def test_replay_with_sensitivity_samples_matches_live(self):
-        data = self._dataset(n_per_class=8)
-        tracker = BehaviorTracker(data, taps=["conv1", "conv2"], with_sensitivity=True,
-                                  sensitivity_samples=4)
-        snapshots = []
-
-        def hook(model, epoch, row):
-            out = tracker.observe(model, epoch)
-            snapshots.append(ModelSnapshot.from_model(model))
-            return out
-
-        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
-        train(model, data, TrainConfig(batch_size=8, epochs=2), epoch_hook=hook)
-
-        replayed = track_behavior(
-            snapshots, data, taps=["conv1", "conv2"], with_sensitivity=True,
-            sensitivity_samples=4,
-        )
-        assert all(np.isfinite(r.sensitivity) for r in replayed.records)
-        assert replayed.records == tracker.scores.records
 
     def test_sensitivity_forwards_once_per_tap_and_class(self):
         def model():

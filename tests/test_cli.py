@@ -11,13 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biaslens.audit import AuditOptions, BiasReport, _build_audit_model, canonical_json, run_audit
-from biaslens.cli import SUBCOMMANDS, CLIError, build_parser, main, resolve_config
+from biaslens.audit import AuditOptions, BiasReport, build_audit_model, canonical_json, run_audit
+from biaslens.cli import _API_NAMES, GROUPS, SUBCOMMANDS, CLIError, build_parser, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.behavior import export_heatmap, lrp_propagate
 from biaslens.nn.models import TinyViT
 from biaslens.nn.snapshot import MAGIC, load_snapshot, model_from_snapshot
-from biaslens.nn.train import _ROW_BLOCK, TrainConfig, _forward_pass
+from biaslens.nn.train import _ROW_BLOCK, TrainConfig, forward_pass
 from biaslens.sampling import combined_resample
 from biaslens.synthetic import (
     SyntheticConfig,
@@ -126,6 +126,71 @@ class TestExitCodes:
         code = main(["audit", *FAST_AUDIT, "--out", str(tmp_path)])
         assert code == 1
         assert "must be an integer" in capsys.readouterr().err
+
+
+def _real_flags(group: str) -> list[str]:
+    return [f.flag for f in GROUPS[group] if f.kind is float]
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestRejectedRequest:
+    """A request that cannot run exits 1 naming its flag or key, before it
+    creates anything under --out and before any training."""
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("train called")
+
+        monkeypatch.setattr("biaslens.cli.train", spy)
+        monkeypatch.setattr("biaslens.audit.train", spy)
+        return calls
+
+    def _rejects(self, argv, name, tmp_path, capsys, train_calls):
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert name in err
+        assert not out.exists()
+        assert train_calls == []
+
+    @pytest.mark.parametrize(
+        "sub, flag",
+        [("train", f) for f in _real_flags("training")] + [("audit", f) for f in _real_flags("audit")],
+    )
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_flag(self, tmp_path, capsys, train_calls, sub, flag, value):
+        key = flag[2:].replace("-", "_")
+        argv = [sub, "--n-samples", "30", "--image-size", "16", f"{flag}={value}"]
+        self._rejects(argv, f"{_API_NAMES.get(key, key)} must be finite", tmp_path, capsys, train_calls)
+
+    @pytest.mark.parametrize("sub", ["train", "recalibrate", "mitigate"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_config_value(self, tmp_path, capsys, train_calls, sub, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": float(value)}), encoding="utf-8")
+        argv = [sub, "--n-samples", "30", "--image-size", "16", "--config", str(cfg)]
+        self._rejects(argv, "learning_rate must be finite", tmp_path, capsys, train_calls)
+
+    @pytest.mark.parametrize(
+        "sub, flags, name",
+        [
+            ("audit", ["--split", "a,b"], "--split"),
+            ("audit", ["--split", "0.5,0.5"], "--split"),
+            ("audit", ["--split", "nan,0.5,0.5"], "split must be finite"),
+            ("mitigate", ["--channels", "4"], "--channels"),
+            ("audit", ["--seeds", "1,x"], "--seeds"),
+            ("mitigate", ["--strategy", "Augment"], "model_kind='tiny_vit'"),
+        ],
+    )
+    def test_malformed_request(self, tmp_path, capsys, train_calls, sub, flags, name):
+        self._rejects([sub, *FAST_AUDIT, *flags], name, tmp_path, capsys, train_calls)
 
 
 class TestMalformedInputExitsOne:
@@ -618,9 +683,10 @@ class TestAuditCommand:
             == (single_run_dir(env_out) / "report.json").read_bytes()
         )
 
-    def test_multi_seed_run(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_multi_seed_run(self, tmp_path, jobs):
         out = tmp_path / "out"
-        assert main(["audit", *FAST_AUDIT, "--seeds", "0,1", "--out", str(out)]) == 0
+        assert main(["audit", *FAST_AUDIT, "--seeds", "0,1", "--jobs", jobs, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert [s["seed"] for s in summary] == [0, 1]
         run_dirs = {p.name for p in out.iterdir() if p.name.startswith("run-")}
@@ -647,7 +713,7 @@ class TestCliApiParity:
         # build the same model.
         del cli_json["arch"], api_json["arch"]
         assert cli_json == api_json
-        assert _build_audit_model(cli, 3).arch == _build_audit_model(api, 3).arch
+        assert build_audit_model(cli, 3).arch == build_audit_model(api, 3).arch
 
     def test_vit_audit_through_main_equals_run_audit(self, tmp_path):
         # The same request spelled as flags and as API objects: every value
@@ -904,7 +970,7 @@ class TestHeatmapCommand:
             SyntheticConfig(n_samples=8, shares=(1 / 3,) * 3, image_hw=(16, 16), seed=0)
         )
         model = model_from_snapshot(load_snapshot(vit_snapshot))
-        whole = _forward_pass(model, data.dataset.images, attention=True)
+        whole = forward_pass(model, data.dataset.images, attention=True)
         index = 3
         sample_id = data.dataset.sample_ids[index]
         expected = {

@@ -16,10 +16,7 @@ from biaslens.manifest import (
     DatasetManifest,
     ManifestError,
     compute_distribution,
-    condition_breakdown,
-    labels_with_prefix,
     load_manifest,
-    records_from_iter,
     write_manifest,
 )
 
@@ -455,48 +452,3 @@ class TestComputeDistribution:
     def test_percentages_sum_to_100(self, counts):
         dist = compute_distribution(make_manifest(counts))
         np.testing.assert_allclose(sum(dist.percentages.values()), 100.0, atol=1e-6)
-
-
-class TestConditionBreakdown:
-    def test_all_normal_is_100(self):
-        manifest = make_manifest({"a": 4}, condition=Condition.NORMAL)
-        dist = compute_distribution(manifest)
-        assert condition_breakdown(dist, "a") == {Condition.NORMAL: 100.0}
-
-    def test_even_split_between_two_conditions(self):
-        records = [
-            make_record(sample_id=f"n{i}", condition=Condition.NORMAL) for i in range(10)
-        ] + [
-            make_record(sample_id=f"d{i}", condition=Condition.NIGHT) for i in range(10)
-        ]
-        dist = compute_distribution(records_from_iter(records))
-        breakdown = condition_breakdown(dist, "disk")
-        assert breakdown == {Condition.NORMAL: 50.0, Condition.NIGHT: 50.0}
-
-    def test_three_to_one_split(self):
-        records = [
-            make_record(sample_id=f"n{i}", condition=Condition.NORMAL) for i in range(3)
-        ] + [make_record(sample_id="w0", condition=Condition.WEATHER)]
-        dist = compute_distribution(records_from_iter(records))
-        breakdown = condition_breakdown(dist, "disk")
-        assert breakdown == {Condition.NORMAL: 75.0, Condition.WEATHER: 25.0}
-
-    def test_unknown_class_rejected(self):
-        dist = compute_distribution(make_manifest({"a": 1}))
-        with pytest.raises(ManifestError, match="ghost"):
-            condition_breakdown(dist, "ghost")
-
-
-class TestTaxonomyQueries:
-    def test_prefix_matches_dotted_hierarchy_only(self):
-        manifest = DatasetManifest(
-            records=(),
-            taxonomy=frozenset(
-                {"vehicle", "vehicle.car", "vehicle.truck", "vehicleish", "human"}
-            ),
-        )
-        assert labels_with_prefix(manifest, "vehicle") == [
-            "vehicle",
-            "vehicle.car",
-            "vehicle.truck",
-        ]

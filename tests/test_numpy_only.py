@@ -82,6 +82,19 @@ model.forward(np.zeros((1, 1, 8, 8)))
         assert imports
         exec(compile(ast.Module(body=imports, type_ignores=[]), str(README), "exec"), {})
 
+    def test_no_module_imports_another_modules_private_names(self):
+        package = Path(biaslens.__file__).resolve().parent
+        found = [
+            f"{path.relative_to(package)}:{node.lineno} imports {alias.name} from {node.module}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "biaslens")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert found == []
+
 
 class TestBoxBlur:
     @given(

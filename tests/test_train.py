@@ -496,6 +496,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="max_steps"):
             TrainConfig(max_steps=0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "dropout", "box_loss_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_real_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_json_roundtrip(self):
         config = TrainConfig(
             learning_rate=2e-3, batch_size=16, epochs=5, weight_decay=0.0,
