@@ -27,12 +27,13 @@ from .augment import (
 from .behavior import (
     BehaviorTracker,
     balanced_probe,
+    class_rows,
     lrp_propagate,
     mass_by_cell,
     relevance_mass_in_box,
+    selectivity_score,
     sensitivity_scores,
     unit_class_activations,
-    selectivity_score,
 )
 from .detmetrics import (
     Detection,
@@ -274,19 +275,18 @@ def evaluate_side(model, test: SyntheticData, options: AuditOptions) -> dict:
     all_pairs = [p for pairs in match.matched_pairs.values() for p in pairs]
     overall_nds = nds(mean_ap(ap), tp_errors_from_matches(all_pairs))
 
-    probe = balanced_probe(test.dataset, options.probe_per_class, seed=options.seed)
+    rows = balanced_probe(test.dataset, options.probe_per_class, seed=options.seed)
     sel_sums: dict[str, list[float]] = {c: [] for c in class_order}
-    per_tap = unit_class_activations(model, probe)
-    for tap in model.trunk_taps:
-        for _unit, acts in per_tap[tap].items():
+    for units in unit_class_activations(stats["unit_means"], test.dataset, rows).values():
+        for acts in units.values():
             for c, s in selectivity_score(acts).items():
                 sel_sums[c].append(s)
     selectivity = {c: float(np.mean(v)) for c, v in sel_sums.items()}
 
     last_tap = model.trunk_taps[-1]
     sensitivity: dict[str, float] = {}
-    for k, c in enumerate(class_order):
-        imgs = probe.images[probe.labels == k][: options.sensitivity_samples]
+    for c, idx in class_rows(test.dataset, rows).items():
+        imgs = test.dataset.images[idx[: options.sensitivity_samples]]
         sensitivity[c] = float(np.mean(sensitivity_scores(model, imgs, last_tap)))
 
     per_class: dict[str, dict] = {}
@@ -397,16 +397,16 @@ def _train_once(
     weights: ClassWeights | None = None,
 ):
     model = build_audit_model(options, len(train_data.class_order))
-    probe = balanced_probe(val_data, options.probe_per_class, seed=options.seed)
     tracker = BehaviorTracker(
-        probe,
+        val_data,
+        balanced_probe(val_data, options.probe_per_class, seed=options.seed),
         with_sensitivity=options.track_sensitivity,
         sensitivity_samples=options.sensitivity_samples,
     )
     cfg = options.train.with_seed(options.seed)
     loss_fn = weighted_loss(weights, train_data.class_order)
     snapshot, trace = train(
-        model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.hook()
+        model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.observe
     )
     return model, snapshot, trace, tracker
 
@@ -521,7 +521,7 @@ def run_mitigation(
     """Apply a mitigation strategy, retrain with the same seed/config,
     and extend the report with post metrics, deltas, and verdicts."""
     options = run.options
-    train_d, val_d, test_d, splits = _split_data(run.data, options)
+    train_d, val_d, test_d = (run.data.subset(rows) for rows in run.splits)
     weights: ClassWeights | None = None
     mitigation: dict = {"strategy": strategy.value}
 
@@ -579,7 +579,7 @@ def run_mitigation(
         snapshot=snapshot,
         trace=trace,
         behavior=tracker.scores,
-        splits=splits,
+        splits=run.splits,
     )
     if out_dir is not None:
         new_run.run_dir = write_run_artifacts(new_run, out_dir, suffix=strategy.value.lower())

@@ -98,21 +98,29 @@ def selectivity_score(activations: Mapping[str, float]) -> dict[str, float]:
     return out
 
 
-def unit_class_activations(
-    model, dataset: ArrayDataset
-) -> dict[str, dict[int, dict[str, float]]]:
-    """tap -> unit -> class -> mean activation over the dataset's samples."""
-    masks: dict[str, np.ndarray] = {}
-    for k, name in enumerate(dataset.class_order):
-        masks[name] = dataset.labels == k
-        if not masks[name].any():
+def class_rows(dataset: ArrayDataset, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Class -> the probe ``rows`` of ``dataset`` that hold it; none may be empty."""
+    out = {name: rows[dataset.labels[rows] == k] for k, name in enumerate(dataset.class_order)}
+    for name, idx in out.items():
+        if not idx.size:
             raise BehaviorError(f"probe set has no samples of class {name!r}")
+    return out
+
+
+def unit_class_activations(
+    unit_means: Mapping[str, np.ndarray], dataset: ArrayDataset, rows: np.ndarray
+) -> dict[str, dict[int, dict[str, float]]]:
+    """tap -> unit -> class -> mean activation over the probe ``rows`` of
+    ``dataset``, read from the per-tap (N, units) means of a pass over it."""
+    by_class = class_rows(dataset, rows)
+    if any(len(acts) != len(dataset) for acts in unit_means.values()):
+        raise BehaviorError(f"the pass does not hold the dataset's {len(dataset)} rows")
     return {
         tap: {
-            unit: {name: float(acts[mask, unit].mean()) for name, mask in masks.items()}
+            unit: {name: float(acts[idx, unit].mean()) for name, idx in by_class.items()}
             for unit in range(acts.shape[1])
         }
-        for tap, acts in unit_activation_matrix(model, dataset.images).items()
+        for tap, acts in unit_means.items()
     }
 
 
@@ -152,36 +160,32 @@ class BehaviorScores:
 
 
 class BehaviorTracker:
-    """Collects selectivity (and optionally sensitivity) per epoch on a
-    fixed probe set; usable directly as a train() epoch hook."""
+    """Collects selectivity (and optionally sensitivity) per epoch on the
+    fixed probe ``rows`` of ``dataset``. ``observe`` is the epoch hook of a
+    ``train`` that evaluates ``dataset``, and reads that pass's unit means."""
 
     def __init__(
         self,
-        probe_set: ArrayDataset,
-        taps: Sequence[str] | None = None,
+        dataset: ArrayDataset,
+        rows: np.ndarray,
         with_sensitivity: bool = False,
         sensitivity_samples: int = 16,
     ) -> None:
-        for k, name in enumerate(probe_set.class_order):
-            if not (probe_set.labels == k).any():
-                raise BehaviorError(f"probe set has no samples of class {name!r}")
-        self.probe_set = probe_set
-        self.taps = list(taps) if taps is not None else None
+        self.dataset, self.rows = dataset, rows
+        self.by_class = class_rows(dataset, rows)  # rejects a class the probe lacks
         self.with_sensitivity = with_sensitivity
         self.sensitivity_samples = sensitivity_samples
         self.scores = BehaviorScores()
 
-    def observe(self, model, epoch: int) -> dict[str, float]:
-        taps = self.taps if self.taps is not None else model.trunk_taps
-        class_means: dict[str, list[float]] = {c: [] for c in self.probe_set.class_order}
-        per_tap = unit_class_activations(model, self.probe_set)
-        for tap in taps:
-            units = per_tap[tap]
+    def observe(self, model, epoch: int, stats: dict) -> dict[str, float]:
+        class_means: dict[str, list[float]] = {c: [] for c in self.by_class}
+        per_tap = unit_class_activations(stats["unit_means"], self.dataset, self.rows)
+        for tap, units in per_tap.items():
             sens = {c: np.full(len(units), np.nan) for c in class_means}
             if self.with_sensitivity:
-                for k, c in enumerate(self.probe_set.class_order):
-                    imgs = self.probe_set.images[self.probe_set.labels == k]
-                    sens[c] = sensitivity_scores(model, imgs[: self.sensitivity_samples], tap)
+                for c, idx in self.by_class.items():
+                    imgs = self.dataset.images[idx[: self.sensitivity_samples]]
+                    sens[c] = sensitivity_scores(model, imgs, tap)
             for unit, acts in units.items():
                 for c, s in selectivity_score(acts).items():
                     self.scores.records.append(
@@ -189,12 +193,6 @@ class BehaviorTracker:
                     )
                     class_means[c].append(s)
         return {f"selectivity_{c}": sum(v) / len(v) for c, v in class_means.items() if v}
-
-    def hook(self):
-        def _hook(model, epoch: int, _row: dict) -> dict:
-            return self.observe(model, epoch)
-
-        return _hook
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +408,8 @@ def export_heatmap(heatmap: np.ndarray, path: str | Path) -> tuple[Path, Path]:
     return pgm_path, csv_path
 
 
-def balanced_probe(dataset: ArrayDataset, per_class: int, seed: int = 0) -> ArrayDataset:
-    """Seeded fixed-size probe set with ``per_class`` samples per class."""
+def balanced_probe(dataset: ArrayDataset, per_class: int, seed: int = 0) -> np.ndarray:
+    """Sorted rows of a seeded probe with ``per_class`` samples per class."""
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for k, name in enumerate(dataset.class_order):
@@ -420,4 +418,4 @@ def balanced_probe(dataset: ArrayDataset, per_class: int, seed: int = 0) -> Arra
             raise BehaviorError(f"dataset has no samples of class {name!r}")
         take = min(per_class, idx.size)
         chosen.extend(rng.choice(idx, size=take, replace=False))
-    return dataset.subset(np.array(sorted(chosen), dtype=np.int64))
+    return np.array(sorted(chosen), dtype=np.int64)

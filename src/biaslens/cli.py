@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -141,6 +142,9 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
             except OverflowError:
                 raise CLIError(f"config file {path}: {key} is too large for a float") from None
     resolved.update(explicit)
+    for key, value in resolved.items():  # before any work: NaN passes every range check
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CLIError(f"{_API_NAMES.get(key, key)} must be finite, got {value}")
     if "seed" in flags and resolved.get("seed") is None:
         env = os.environ.get(ENV_SEED)
         if env is not None:

@@ -259,8 +259,8 @@ def forward_pass(
 
 
 def evaluate(model, dataset: ArrayDataset, batch_size: int = INFERENCE_CHUNK) -> dict:
-    """Deterministic eval pass: probabilities, argmax predictions,
-    per-class recall, and predicted boxes when the model has a head."""
+    """Deterministic eval pass: probabilities, argmax predictions, per-class
+    recall, boxes when the model has a head, and per-tap unit means."""
     out = forward_pass(model, dataset.images, batch_size)
     preds = out.probs.argmax(axis=1)
     recalls: dict[str, float] = {}
@@ -272,6 +272,7 @@ def evaluate(model, dataset: ArrayDataset, batch_size: int = INFERENCE_CHUNK) ->
         "preds": preds,
         "recalls": recalls,
         "boxes": out.boxes,
+        "unit_means": out.unit_means,
         "accuracy": float((preds == dataset.labels).mean()),
     }
 
@@ -292,7 +293,8 @@ def train(
     ``config.box_loss_weight``) is added. ``config.max_steps`` caps the
     total number of optimizer updates so differently sized datasets can
     be trained on an equal budget. A non-finite total loss aborts with
-    the offending epoch and batch.
+    the offending epoch and batch. ``epoch_hook(model, epoch, stats)`` gets
+    each epoch's ``evaluate`` of ``val_set`` (else ``train_set``).
     """
     if loss_fn is None:
         loss_fn = weighted_ce_from_logits
@@ -339,7 +341,7 @@ def train(
             for c, r in stats["recalls"].items():
                 row[f"recall_{c}"] = r
             if epoch_hook is not None:
-                extra = epoch_hook(model, epoch, dict(row))
+                extra = epoch_hook(model, epoch, stats)
                 if extra:
                     row.update(extra)
             trace.rows.append(row)

@@ -80,9 +80,10 @@ def rng() -> np.random.Generator:
 
 
 class ForwardRecorder:
-    """Stands in for ``model.forward``: records every call's input, and
-    fills the outputs of padding rows (all-zero images) with NaN, so that
-    a reader that kept a padding row shows it."""
+    """Stands in for ``model.forward``: records every inference call's
+    input, and fills the outputs of padding rows (all-zero images) with
+    NaN, so that a reader that kept a padding row shows it. Training
+    forwards pass through unrecorded."""
 
     def __init__(self, model) -> None:
         self.calls: list[np.ndarray] = []
@@ -91,8 +92,10 @@ class ForwardRecorder:
 
     def __call__(self, x, train=False):
         x = np.asarray(x)
-        self.calls.append(x.copy())
         res = self._forward(x, train)
+        if train:
+            return res
+        self.calls.append(x.copy())
         pad = ~x.reshape(len(x), -1).any(axis=1)
         if pad.any():
             outs = [res.logits, res.probs, res.box, *(a for _, a in res.trunk)]

@@ -302,27 +302,27 @@ class TestEvaluateSide:
         assert canonical_json(side) == canonical_json(plain)  # no padding row was read
         return side, recorder
 
-    def test_forwards_the_test_split_once_and_the_probe_once(self, monkeypatch):
+    def test_without_sensitivity_forwards_each_test_row_once(self, monkeypatch):
         monkeypatch.setattr(
             audit_mod, "sensitivity_scores",
             lambda model, images, tap: np.ones(SMALL_ARCH["channels"][-1]),
         )
-        options = small_options(probe_per_class=7)  # 21 probe rows: one padded chunk
+        options = small_options(probe_per_class=7)
         test = small_data(n=62)  # 32 + 30 rows: the last chunk is padded
         side, recorder = self._recorded_side(options, test)
-        probe = behavior_mod.balanced_probe(test.dataset, options.probe_per_class, options.seed)
-        recorder.assert_each_row_once(test.dataset.images, probe.images)
+        recorder.assert_each_row_once(test.dataset.images)  # the probe reads this pass
         assert set(side["per_class"]) == {"disk", "bar", "cross"}
 
-    def test_forwards_the_sensitivity_probe_once_per_class(self):
-        options = small_options(probe_per_class=7)  # 21 probe rows: one padded chunk
+    def test_forwards_each_test_row_once_plus_the_sensitivity_rows(self):
+        options = small_options(probe_per_class=7)
         test = small_data(n=62)  # 32 + 30 rows: the last chunk is padded
         _, recorder = self._recorded_side(options, test)
-        probe = behavior_mod.balanced_probe(test.dataset, options.probe_per_class, options.seed)
+        rows = behavior_mod.balanced_probe(test.dataset, options.probe_per_class, options.seed)
+        labels = test.dataset.labels[rows]
         per_class = [
-            probe.images[probe.labels == k][: options.sensitivity_samples] for k in range(3)
+            test.dataset.images[rows[labels == k]][: options.sensitivity_samples] for k in range(3)
         ]
-        recorder.assert_each_row_once(test.dataset.images, probe.images, *per_class)
+        recorder.assert_each_row_once(test.dataset.images, *per_class)
 
 
 class TestAugmentPasses:
@@ -403,6 +403,20 @@ class TestSharedSampleIds:
 
 
 class TestRunMitigation:
+    def test_mitigation_reuses_the_audit_split(self, monkeypatch):
+        calls = []
+        split = audit_mod.stratified_split
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(audit_mod, "stratified_split", spy)
+        run = run_audit(small_data(), small_options())
+        mitigated = run_mitigation(run, Strategy.COST_SENSITIVE)
+        assert len(calls) == 1
+        assert mitigated.splits is run.splits
+
     def test_pre_section_is_bit_identical(self, baseline_run):
         mitigated = run_mitigation(baseline_run, Strategy.COST_SENSITIVE)
         assert mitigated.report.pre is baseline_run.report.pre

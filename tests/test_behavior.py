@@ -260,13 +260,14 @@ class TestUnitActivations:
 
     def test_class_means_require_every_class(self):
         data = vit_dataset(n=4)
-        only_disk = data.subset(np.flatnonzero(data.labels == 0))
+        means = forward_pass(tiny_vit(), data.images).unit_means
         with pytest.raises(BehaviorError, match="bar"):
-            unit_class_activations(tiny_vit(), only_disk)
+            unit_class_activations(means, data, np.flatnonzero(data.labels == 0))
 
     def test_class_means_shape(self):
         data = vit_dataset(n=6)
-        out = unit_class_activations(tiny_vit(), data)["block1"]
+        means = forward_pass(tiny_vit(), data.images).unit_means
+        out = unit_class_activations(means, data, np.arange(6))["block1"]
         assert set(out) == set(range(8))
         assert set(out[0]) == {"disk", "bar"}
 
@@ -376,19 +377,47 @@ class TestSinglePass:
         npt.assert_array_equal(small["boxes"], large["boxes"])
         assert small["recalls"] == large["recalls"]
 
-    def test_observe_forwards_the_probe_once_per_epoch(self):
+    @settings(max_examples=12, deadline=None)
+    @example(n=1, picks=[0], drawn=[0] * 70)
+    @given(
+        n=st.integers(1, 70),
+        picks=st.lists(st.integers(0, 69), min_size=1),
+        drawn=st.lists(st.integers(0, 2), min_size=70, max_size=70),
+    )
+    def test_probe_class_means_from_the_split_pass_equal_a_probe_pass(self, one_pass, n, picks, drawn):
+        """The class means of sorted probe rows read from a pass over the
+        whole split are the bits of forwarding only the probe rows."""
+        model, images, _ = one_pass
+        rows = np.array(sorted({p % n for p in picks}))
+        k = min(3, len(rows))
+        labels = np.asarray(drawn[:n]) % k
+        labels[rows[:k]] = np.arange(k)  # every class holds a probe row
+        split = ArrayDataset(images=images[:n], labels=labels, class_order=("a", "b", "c")[:k])
+        read = unit_class_activations(forward_pass(model, split.images).unit_means, split, rows)
+        probe = unit_activation_matrix(model, split.images[rows])
+        assert list(read) == list(probe) == model.trunk_taps
+        for tap, acts in probe.items():
+            for unit, by_class in read[tap].items():
+                assert by_class == {
+                    c: float(acts[labels[rows] == j, unit].mean())
+                    for j, c in enumerate(split.class_order)
+                }
+
+    def test_train_with_a_tracker_forwards_each_validation_row_once_per_epoch(self):
         def model():
             return TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
 
-        probe = vit_dataset(n=6, hw=(8, 8))
+        train_set = vit_dataset(n=12, seed=1, hw=(8, 8))
+        val = vit_dataset(n=38, hw=(8, 8))  # 32 + 6 rows: the last chunk is padded
+        rows = balanced_probe(val, per_class=5)
         recorded = model()
-        assert len(recorded.trunk_taps) == 2
         recorder = ForwardRecorder(recorded)
-        tracker, plain = BehaviorTracker(probe), BehaviorTracker(probe)
-        for epoch in range(3):
-            tracker.observe(recorded, epoch)
-            plain.observe(model(), epoch)
-        recorder.assert_each_row_once(*[probe.images] * 3)
+        tracker, plain = BehaviorTracker(val, rows), BehaviorTracker(val, rows)
+        config = TrainConfig(batch_size=4, epochs=3)
+        train(recorded, train_set, config, val_set=val, epoch_hook=tracker.observe)
+        train(model(), train_set, config, val_set=val, epoch_hook=plain.observe)
+        recorder.assert_each_row_once(*[val.images] * 3)  # and no probe pass
+        assert tracker.scores.epochs() == [0, 1, 2]
         assert {r.layer for r in tracker.scores.records} == {"conv1", "conv2"}
         # no padding row was read
         assert [r.selectivity for r in tracker.scores.records] == [
@@ -607,45 +636,56 @@ class TestBehaviorTracking:
 
     def test_tracker_collects_per_epoch_records(self):
         data = self._dataset()
-        tracker = BehaviorTracker(data, taps=["conv2"])
+        tracker = BehaviorTracker(data, np.arange(len(data)))
         model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
         train(
-            model, data, TrainConfig(batch_size=8, epochs=3), epoch_hook=tracker.hook()
+            model, data, TrainConfig(batch_size=8, epochs=3), epoch_hook=tracker.observe
         )
         assert tracker.scores.epochs() == [0, 1, 2]
         per_epoch = [r for r in tracker.scores.records if r.epoch == 0]
-        # 3 conv2 units x 2 classes
-        assert len(per_epoch) == 6
+        # (2 conv1 + 3 conv2 units) x 2 classes
+        assert len(per_epoch) == 10
+        assert sum(r.layer == "conv2" for r in per_epoch) == 6
 
     def test_tracker_feeds_trace_columns(self):
         data = self._dataset()
-        tracker = BehaviorTracker(data, taps=["conv1"])
+        tracker = BehaviorTracker(data, np.arange(len(data)))
         model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
         _, trace = train(
-            model, data, TrainConfig(batch_size=8, epochs=2), epoch_hook=tracker.hook()
+            model, data, TrainConfig(batch_size=8, epochs=2), epoch_hook=tracker.observe
         )
         assert "selectivity_a" in trace.rows[0]
         assert "selectivity_b" in trace.column_names()
 
     def test_probe_missing_class_rejected(self):
         data = self._dataset()
-        only_a = data.subset(np.flatnonzero(data.labels == 0))
         with pytest.raises(BehaviorError, match="'b'"):
-            BehaviorTracker(only_a)
+            BehaviorTracker(data, np.flatnonzero(data.labels == 0))
+
+    def test_observe_rejects_a_pass_over_another_set(self):
+        """Without a ``val_set``, ``train`` evaluates the training set, which
+        is not the set the tracker's probe rows index."""
+        data = self._dataset()
+        val = data.subset(np.arange(0, len(data), 2))
+        tracker = BehaviorTracker(val, np.arange(len(val)))
+        model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
+        with pytest.raises(BehaviorError, match="dataset's 8 rows"):
+            train(model, data, TrainConfig(batch_size=8, epochs=1), epoch_hook=tracker.observe)
 
     def test_sensitivity_forwards_once_per_tap_and_class(self):
         def model():
             return TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
 
         data = self._dataset(n_per_class=5)
-        tracker = BehaviorTracker(data, with_sensitivity=True, sensitivity_samples=3)
-        plain = BehaviorTracker(data, with_sensitivity=True, sensitivity_samples=3)
-        recorded = model()
+        rows = balanced_probe(data, per_class=4)
+        tracker = BehaviorTracker(data, rows, with_sensitivity=True, sensitivity_samples=3)
+        plain = BehaviorTracker(data, rows, with_sensitivity=True, sensitivity_samples=3)
+        recorded, other = model(), model()
         recorder = ForwardRecorder(recorded)
-        tracker.observe(recorded, 0)
-        plain.observe(model(), 0)
-        # the probe once for activations, then 3 images per (tap, class)
-        per_class = [data.images[data.labels == k][:3] for k in range(2)]
+        tracker.observe(recorded, 0, evaluate(recorded, data))
+        plain.observe(other, 0, evaluate(other, data))
+        # the evaluation pass, then the first 3 probe rows per (tap, class)
+        per_class = [data.images[rows[data.labels[rows] == k]][:3] for k in range(2)]
         recorder.assert_each_row_once(data.images, *per_class * 2)
         assert tracker.scores.records == plain.scores.records  # no padding row was read
         order = [(r.layer, r.neuron, r.class_label) for r in tracker.scores.records]
@@ -658,10 +698,10 @@ class TestBehaviorTracking:
 
     def test_with_sensitivity_fills_the_column(self):
         data = self._dataset(n_per_class=4)
-        tracker = BehaviorTracker(data, taps=["conv1"], with_sensitivity=True,
+        tracker = BehaviorTracker(data, np.arange(len(data)), with_sensitivity=True,
                                   sensitivity_samples=2)
         model = TinyCNN(n_classes=2, input_hw=(8, 8), channels=(2, 3), kernel=3, box_head=False)
-        tracker.observe(model, 0)
+        tracker.observe(model, 0, evaluate(model, data))
         assert all(np.isfinite(r.sensitivity) for r in tracker.scores.records)
 
     def test_scores_csv_layout(self, tmp_path):
@@ -678,9 +718,10 @@ class TestBehaviorTracking:
 class TestBalancedProbe:
     def test_takes_per_class_counts(self):
         data = vit_dataset(n=10)
-        probe = balanced_probe(data, per_class=3, seed=0)
-        assert (probe.labels == 0).sum() == 3
-        assert (probe.labels == 1).sum() == 3
+        rows = balanced_probe(data, per_class=3, seed=0)
+        assert (data.labels[rows] == 0).sum() == 3
+        assert (data.labels[rows] == 1).sum() == 3
+        assert (np.diff(rows) > 0).all()
 
     def test_caps_at_available(self):
         data = vit_dataset(n=4)
@@ -691,7 +732,7 @@ class TestBalancedProbe:
         data = vit_dataset(n=10)
         first = balanced_probe(data, per_class=2, seed=7)
         second = balanced_probe(data, per_class=2, seed=7)
-        assert first.sample_ids == second.sample_ids
+        npt.assert_array_equal(first, second)
 
     def test_missing_class_rejected(self):
         data = vit_dataset(n=6)

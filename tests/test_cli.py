@@ -179,6 +179,32 @@ class TestRejectedRequest:
         self._rejects(argv, "learning_rate must be finite", tmp_path, capsys, train_calls)
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["augment", "--manifest", "m.jsonl", "--images-root", "data", "--snapshot", "m.snapshot"], key)
+            for key in ("tau_att", "kappa")
+        ]
+        + [
+            (["train", "--n-samples", "30", "--image-size", "16", "--model", model], "mlp_ratio")
+            for model in ("tiny_cnn", "tiny_vit")
+        ],
+    )
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_value_outside_the_api_configs(
+        self, tmp_path, capsys, train_calls, argv, key, value, source
+    ):
+        """A real that no API config dataclass checks: an augment threshold
+        or a model arch value."""
+        if source == "flag":
+            extra = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}), encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        self._rejects([*argv, *extra], f"{key} must be finite", tmp_path, capsys, train_calls)
+
+    @pytest.mark.parametrize(
         "sub, flags, name",
         [
             ("audit", ["--split", "a,b"], "--split"),
