@@ -10,7 +10,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .nn.snapshot import ModelSnapshot
 from .nn.train import (
     ArrayDataset, LossFn, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
 )
-from .sampling import ResamplePlan, combined_rows
+from .sampling import combined_rows
 from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
@@ -97,6 +97,13 @@ class AuditOptions:
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
+        if not (0.0 < self.iou_threshold <= 1.0):
+            raise AuditError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+        for name, low in (
+            ("probe_per_class", 1), ("sensitivity_samples", 1), ("eta", 0), ("max_recal_iterations", 0)
+        ):
+            if getattr(self, name) < low:
+                raise AuditError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -362,17 +369,15 @@ def correlate_errors(
 # pipeline stages
 
 
-def _split_data(
-    data: SyntheticData, options: AuditOptions
-) -> tuple[SyntheticData, SyntheticData, SyntheticData, tuple]:
+def _split_data(data: SyntheticData, options: AuditOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train, val and test rows of ``data``; each split holds every class."""
     idx = stratified_split(data.dataset.labels, options.split, seed=options.seed)
-    names = ("train", "val", "test")
-    for split_name, part in zip(names, idx):
+    for split_name, part in zip(("train", "val", "test"), idx):
         present = set(data.dataset.labels[part].tolist())
         for k, c in enumerate(data.dataset.class_order):
             if k not in present:
                 raise AuditError(f"class {c!r} absent from {split_name} split")
-    return data.subset(idx[0]), data.subset(idx[1]), data.subset(idx[2]), idx
+    return idx
 
 
 def build_audit_model(options: AuditOptions, n_classes: int):
@@ -403,7 +408,7 @@ def _train_once(
         with_sensitivity=options.track_sensitivity,
         sensitivity_samples=options.sensitivity_samples,
     )
-    cfg = options.train.with_seed(options.seed)
+    cfg = replace(options.train, seed=options.seed)
     loss_fn = weighted_loss(weights, train_data.class_order)
     snapshot, trace = train(
         model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.observe
@@ -411,47 +416,63 @@ def _train_once(
     return model, snapshot, trace, tracker
 
 
+def _train_and_report(
+    data: SyntheticData,
+    options: AuditOptions,
+    splits: tuple[np.ndarray, np.ndarray, np.ndarray],
+    train_d: SyntheticData,
+    weights: ClassWeights | None,
+    report_of: Callable[[dict], BiasReport],
+    out_dir: str | Path | None,
+    suffix: str = "",
+) -> AuditRun:
+    """Train on ``train_d`` with the val split's probe, evaluate on the test
+    split, make the report of those metrics and write the run's artifacts."""
+    val_d, test_d = (data.subset(rows) for rows in splits[1:])
+    model, snapshot, trace, tracker = _train_once(options, train_d.dataset, val_d.dataset, weights)
+    report = report_of(evaluate_side(model, test_d, options))
+    run = AuditRun(data, options, report, model, snapshot, trace, tracker.scores, splits)
+    if out_dir is not None:
+        run.run_dir = write_run_artifacts(run, out_dir, suffix)
+    return run
+
+
 def run_audit(
     data: SyntheticData, options: AuditOptions, out_dir: str | Path | None = None
 ) -> AuditRun:
     """Train the unweighted baseline and assemble the pre-mitigation report."""
     dist = compute_distribution(data.manifest)
-    train_d, val_d, test_d, splits = _split_data(data, options)
-    model, snapshot, trace, tracker = _train_once(options, train_d.dataset, val_d.dataset)
-    pre = evaluate_side(model, test_d, options)
-    correlation = correlate_errors(
-        {c: m["fn_rate"] for c, m in pre["per_class"].items()},
-        {c: m["selectivity"] for c, m in pre["per_class"].items()},
-    )
-    report = BiasReport(
-        dataset=dist.to_json_dict(),
-        options=options.to_json_dict(),
-        seed=options.seed,
-        config_hash=options.config_hash(),
-        pre=pre,
-        correlation=correlation,
-    )
-    run = AuditRun(
-        data=data,
-        options=options,
-        report=report,
-        model=model,
-        snapshot=snapshot,
-        trace=trace,
-        behavior=tracker.scores,
-        splits=splits,
-    )
-    if out_dir is not None:
-        run.run_dir = write_run_artifacts(run, out_dir)
-    return run
+    splits = _split_data(data, options)
+
+    def report_of(pre: dict) -> BiasReport:
+        return BiasReport(
+            dataset=dist.to_json_dict(),
+            options=options.to_json_dict(),
+            seed=options.seed,
+            config_hash=options.config_hash(),
+            pre=pre,
+            correlation=correlate_errors(
+                {c: m["fn_rate"] for c, m in pre["per_class"].items()},
+                {c: m["selectivity"] for c, m in pre["per_class"].items()},
+            ),
+        )
+
+    return _train_and_report(data, options, splits, data.subset(splits[0]), None, report_of, out_dir)
 
 
-def _resample_training(
-    train_d: SyntheticData, seed: int
-) -> tuple[SyntheticData, ResamplePlan]:
-    """Median-equalize the training split, records and rows together."""
-    rows, plan = combined_rows(train_d.manifest, seed=seed)
-    return train_d.subset(rows), plan
+def attention_augmentation(model, data: SyntheticData, tau_att: float, kappa: float):
+    """The attention-guided augmentation of ``data`` by a ViT: one light
+    pass over its images, their patch mass by (class, condition) cell, the
+    plan of the underattended cells, and that plan's new samples. Returns
+    the plan, the new records and images, and the pass."""
+    if getattr(model, "kind", None) != "tiny_vit":
+        raise AuditError(AUGMENT_NEEDS_VIT)
+    records = data.manifest.records
+    inference = forward_pass(model, data.dataset.images)
+    masses = mass_by_cell(model, inference.patch_mass, records)
+    plan = attention_guided_augment_plan(masses, compute_distribution(data.manifest), tau_att, kappa)
+    new_records, new_images = materialize_plan(plan, records, data.dataset.images)
+    return plan, new_records, new_images, inference
 
 
 def _lrp_informed_rows(model, train_d: SyntheticData, probs: np.ndarray, tau_rel: float) -> list[int]:
@@ -480,23 +501,16 @@ def _augment_training(
     run: AuditRun, train_d: SyntheticData
 ) -> tuple[SyntheticData, list[AugmentRequest], list[str]]:
     """Attention-guided augmentation + LRP-informed duplication (ViT only).
-    The attention-mass plan reads the patch mass of one pass over the
-    training split; the relevance ranking forwards its misclassified rows
-    again for their per-layer attention."""
-    model = run.model
-    if getattr(model, "kind", None) != "tiny_vit":
-        raise AuditError(AUGMENT_NEEDS_VIT)
+    The relevance ranking reads the probabilities of the augmentation's
+    pass and forwards the misclassified rows again for their per-layer
+    attention."""
     options = run.options
     ds = train_d.dataset
     records = train_d.manifest.records
-    inference = forward_pass(model, ds.images)
-    masses = mass_by_cell(model, inference.patch_mass, records)
-    plan = attention_guided_augment_plan(
-        masses, compute_distribution(train_d.manifest), options.tau_att, options.kappa
+    plan, new_records, new_images, inference = attention_augmentation(
+        run.model, train_d, options.tau_att, options.kappa
     )
-    new_records, new_images = materialize_plan(plan, records, ds.images)
-
-    dup_rows = _lrp_informed_rows(model, train_d, inference.probs, options.tau_rel)
+    dup_rows = _lrp_informed_rows(run.model, train_d, inference.probs, options.tau_rel)
     for n, i in enumerate(dup_rows):
         new_records.append(
             replace(records[i], sample_id=f"{records[i].sample_id}-rel{n}", image_ref=None)
@@ -519,71 +533,51 @@ def run_mitigation(
     run: AuditRun, strategy: Strategy, out_dir: str | Path | None = None
 ) -> AuditRun:
     """Apply a mitigation strategy, retrain with the same seed/config,
-    and extend the report with post metrics, deltas, and verdicts."""
+    and extend the report with post metrics, deltas, and verdicts.
+    Combined is Resample followed by CostSensitive weights of the
+    resampled set."""
     options = run.options
-    train_d, val_d, test_d = (run.data.subset(rows) for rows in run.splits)
+    train_d = run.data.subset(run.splits[0])
     weights: ClassWeights | None = None
     mitigation: dict = {"strategy": strategy.value}
-
-    if strategy is Strategy.COST_SENSITIVE:
-        weights = compute_class_weights(compute_distribution(train_d.manifest))
-        new_train = train_d
-    elif strategy is Strategy.RESAMPLE:
-        new_train, plan = _resample_training(train_d, options.seed)
+    if strategy in (Strategy.RESAMPLE, Strategy.COMBINED):
+        rows, plan = combined_rows(train_d.manifest, seed=options.seed)
+        train_d = train_d.subset(rows)
         mitigation["resample_plan"] = plan.to_json_dict()
-    elif strategy is Strategy.AUGMENT:
-        new_train, plan_requests, dup_ids = _augment_training(run, train_d)
+    if strategy in (Strategy.COST_SENSITIVE, Strategy.COMBINED):
+        weights = compute_class_weights(compute_distribution(train_d.manifest))
+        mitigation["weights_history"] = [weights.to_json_dict()]
+    if strategy is Strategy.AUGMENT:
+        augmented, plan_requests, dup_ids = _augment_training(run, train_d)
         mitigation["augment_plan"] = [r.to_json_dict() for r in plan_requests]
         mitigation["relevance_duplicated"] = dup_ids
-        mitigation["added_samples"] = len(new_train.dataset) - len(train_d.dataset)
-    elif strategy is Strategy.COMBINED:
-        new_train, plan = _resample_training(train_d, options.seed)
-        mitigation["resample_plan"] = plan.to_json_dict()
-        weights = compute_class_weights(compute_distribution(new_train.manifest))
-    else:  # pragma: no cover - exhaustive enum
-        raise AuditError(f"unknown strategy {strategy}")
+        mitigation["added_samples"] = len(augmented.dataset) - len(train_d.dataset)
+        train_d = augmented
 
-    if weights is not None:
-        mitigation["weights_history"] = [weights.to_json_dict()]
+    def report_of(post: dict) -> BiasReport:
+        deltas: dict[str, dict] = {}
+        verdicts: dict[str, str] = {}
+        for c, pre_m in run.report.pre["per_class"].items():
+            post_m = post["per_class"][c]
+            d_fn = post_m["fn_rate"] - pre_m["fn_rate"]
+            d_ap = (post_m["ap"] or 0.0) - (pre_m["ap"] or 0.0)
+            deltas[c] = {
+                "fn_rate": d_fn,
+                "ap": d_ap,
+                "recall": post_m["recall"] - pre_m["recall"],
+                "mean_iou": (post_m["mean_iou"] or 0.0) - (pre_m["mean_iou"] or 0.0),
+            }
+            if d_fn <= options.fn_delta_threshold and d_ap >= options.ap_delta_threshold:
+                verdicts[c] = "improved"
+            elif d_fn >= -options.fn_delta_threshold or d_ap <= -options.ap_delta_threshold:
+                verdicts[c] = "regressed"
+            else:
+                verdicts[c] = "unchanged"
+        return replace(run.report, post=post, mitigation=mitigation, deltas=deltas, verdicts=verdicts)
 
-    model, snapshot, trace, tracker = _train_once(
-        options, new_train.dataset, val_d.dataset, weights=weights
+    return _train_and_report(
+        run.data, options, run.splits, train_d, weights, report_of, out_dir, strategy.value.lower()
     )
-    post = evaluate_side(model, test_d, options)
-
-    deltas: dict[str, dict] = {}
-    verdicts: dict[str, str] = {}
-    for c, pre_m in run.report.pre["per_class"].items():
-        post_m = post["per_class"][c]
-        d_fn = post_m["fn_rate"] - pre_m["fn_rate"]
-        d_ap = (post_m["ap"] or 0.0) - (pre_m["ap"] or 0.0)
-        deltas[c] = {
-            "fn_rate": d_fn,
-            "ap": d_ap,
-            "recall": post_m["recall"] - pre_m["recall"],
-            "mean_iou": (post_m["mean_iou"] or 0.0) - (pre_m["mean_iou"] or 0.0),
-        }
-        if d_fn <= options.fn_delta_threshold and d_ap >= options.ap_delta_threshold:
-            verdicts[c] = "improved"
-        elif d_fn >= -options.fn_delta_threshold or d_ap <= -options.ap_delta_threshold:
-            verdicts[c] = "regressed"
-        else:
-            verdicts[c] = "unchanged"
-
-    report = replace(run.report, post=post, mitigation=mitigation, deltas=deltas, verdicts=verdicts)
-    new_run = AuditRun(
-        data=run.data,
-        options=options,
-        report=report,
-        model=model,
-        snapshot=snapshot,
-        trace=trace,
-        behavior=tracker.scores,
-        splits=run.splits,
-    )
-    if out_dir is not None:
-        new_run.run_dir = write_run_artifacts(new_run, out_dir, suffix=strategy.value.lower())
-    return new_run
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +638,7 @@ def recalibration_loop(
     """Iteratively retrain with adjusted weights until the validation
     recall gap closes or the iteration budget is spent. Returns the
     final state and one {iteration, gap, recalls} row per training."""
-    train_d, val_d, _test_d, _ = _split_data(data, options)
+    train_d, val_d = (data.subset(rows) for rows in _split_data(data, options)[:2])
     weights = compute_class_weights(compute_distribution(train_d.manifest))
     state = RecalibrationState(
         weights=weights,

@@ -56,14 +56,6 @@ class AugmentOp:
             out["factor"] = self.factor
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "AugmentOp":
-        return cls(
-            kind=AugmentKind(obj["kind"]),
-            delta=float(obj.get("delta", 0.0)),
-            factor=float(obj.get("factor", 1.0)),
-        )
-
 
 def inverse_op(op: AugmentOp) -> AugmentOp:
     """Inverse of a geometric op (flips/Rot180 are involutions)."""

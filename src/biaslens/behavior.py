@@ -144,9 +144,6 @@ class BehaviorScores:
 
     records: list[BehaviorRecord] = field(default_factory=list)
 
-    def epochs(self) -> list[int]:
-        return sorted({r.epoch for r in self.records})
-
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

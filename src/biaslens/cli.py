@@ -24,6 +24,7 @@ from .audit import (
     AuditOptions,
     BiasReport,
     Strategy,
+    attention_augmentation,
     build_audit_model,
     canonical_json,
     recalibration_loop,
@@ -31,8 +32,7 @@ from .audit import (
     run_mitigation,
     weighted_loss,
 )
-from .augment import attention_guided_augment_plan, materialize_plan
-from .behavior import export_heatmap, lrp_propagate, mass_by_cell
+from .behavior import export_heatmap, lrp_propagate
 from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights
 from .manifest import (
@@ -45,7 +45,6 @@ from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
 from .nn.train import TrainConfig, forward_pass, train
 from .nn.optim import schedule_from_config
-from .pgm import write_pgm
 from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
 from .synthetic import (
     SyntheticConfig,
@@ -53,6 +52,7 @@ from .synthetic import (
     dataset_from_manifest,
     generate_synthetic,
     parse_share_spec,
+    write_dataset,
 )
 
 ENV_SEED = "BIASLENS_SEED"
@@ -331,40 +331,27 @@ def _load_model(cfg: RunConfig):
         raise CLIError(f"{path}: {exc}") from None
 
 
-def _vit_pass(model, images, attention: bool = False):
-    """The inference pass of a ViT snapshot's model over ``images``."""
+def _vit_model(cfg: RunConfig):
+    """The model of the ``--snapshot`` file, which must be a ViT."""
+    model = _load_model(cfg)
     if getattr(model, "kind", None) != "tiny_vit":
         raise CLIError("snapshot model exposes no attention; use a tiny_vit snapshot")
-    return forward_pass(model, images, attention=attention)
+    return model
 
 
 def cmd_augment(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
-    model = _load_model(cfg)
+    model = _vit_model(cfg)
     data = dataset_from_manifest(manifest, cfg.values["images_root"])
-    patch_mass = _vit_pass(model, data.dataset.images).patch_mass
-    masses = mass_by_cell(model, patch_mass, data.manifest.records)
-    plan = attention_guided_augment_plan(
-        masses,
-        compute_distribution(data.manifest),
-        cfg.values["tau_att"],
-        cfg.values["kappa"],
+    plan, new_records, new_images, _ = attention_augmentation(
+        model, data, cfg.values["tau_att"], cfg.values["kappa"]
     )
     cfg.write()
     out = cfg.out_dir
     (out / "plan.json").write_text(
         canonical_json([r.to_json_dict() for r in plan]) + "\n", encoding="utf-8"
     )
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    new_records = []
-    for record, image in zip(*materialize_plan(plan, data.manifest.records, data.dataset.images)):
-        ref = f"images/{record.sample_id}.pgm"
-        write_pgm(image, out / ref)
-        new_records.append(replace(record, image_ref=ref))
-    write_manifest(
-        DatasetManifest(records=tuple(new_records), taxonomy=manifest.taxonomy, seed=manifest.seed),
-        out / "augmented.jsonl",
-    )
+    write_dataset(replace(manifest, records=new_records), new_images, out, name="augmented.jsonl")
     print(f"plan entries: {len(plan)}; new samples written: {len(new_records)}")
     return 0
 
@@ -492,7 +479,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_heatmap(cfg: RunConfig) -> int:
-    model = _load_model(cfg)
+    model = _vit_model(cfg)
     data = _load_data(cfg)
     sample_id = cfg.values.get("sample_id")
     if sample_id is not None:
@@ -507,7 +494,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
         sample_id = (data.dataset.sample_ids or [f"sample-{index}"])[index]
 
     source = cfg.values["source"]
-    res = _vit_pass(model, data.dataset.images[index : index + 1], attention=True)
+    res = forward_pass(model, data.dataset.images[index : index + 1], attention=True)
     if source == "attention":
         layer = cfg.values["layer"]
         n_layers = len(res.attention)

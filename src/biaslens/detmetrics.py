@@ -52,9 +52,6 @@ class MatchResult:
         default_factory=dict
     )
 
-    def tp(self, class_label: str) -> int:
-        return sum(self.flags.get(class_label, ()))
-
 
 @dataclass(frozen=True)
 class TPErrorSet:
@@ -70,11 +67,6 @@ class TPErrorSet:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "TPErrorSet":
         return cls(tuple((n, float(mapping.get(n, 1.0))) for n in TP_ERROR_NAMES))
-
-    @classmethod
-    def neutral(cls) -> "TPErrorSet":
-        """All terms at 1.0: zero contribution after the 1 - min(1, .) clamp."""
-        return cls(tuple((n, 1.0) for n in TP_ERROR_NAMES))
 
 
 def iou(

@@ -57,12 +57,6 @@ class ClassWeights:
             for c in sorted(self.raw)
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: Mapping[str, Mapping[str, float]]) -> "ClassWeights":
-        raw = {c: float(v["raw"]) for c, v in obj.items()}
-        normalized = {c: float(v["normalized"]) for c, v in obj.items()}
-        return cls(raw=raw, normalized=normalized, normalization_target=sum(normalized.values()))
-
 
 def _normalize(raw: Mapping[str, float], target: float) -> dict[str, float]:
     total = sum(raw.values())

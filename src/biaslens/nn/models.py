@@ -378,9 +378,7 @@ class TinyViT(_ModelBase):
             h = blk.forward(h, train)
             outs.append(h)
         hn = self._final_ln.forward(h)
-        pooled = hn.mean(axis=1)
-        self._pooled = pooled
-        logits = self._cls.forward(pooled)
+        logits = self._cls.forward(hn.mean(axis=1))
         box = None
         if self._box is not None:
             box = self._box.forward(hn)

@@ -53,8 +53,6 @@ class LinearDecayLR:
 
 
 def schedule_from_config(obj) -> ConstantLR | StepDecayLR | LinearDecayLR:
-    if isinstance(obj, (ConstantLR, StepDecayLR, LinearDecayLR)):
-        return obj
     kind = obj.get("kind", "constant")
     if kind == "constant":
         return ConstantLR()

@@ -34,9 +34,6 @@ class ModelSnapshot:
             params={k: v.copy() for k, v in model.named_parameters().items()},
         )
 
-    def restore_into(self, model) -> None:
-        model.load_parameters(self.params)
-
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -97,5 +94,5 @@ def model_from_snapshot(snapshot: ModelSnapshot):
     from .models import build_model
 
     model = build_model(snapshot.arch, seed=snapshot.seed)
-    snapshot.restore_into(model)
+    model.load_parameters(snapshot.params)
     return model

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..losses import weighted_ce_from_logits
-from .optim import Adam, ConstantLR, LinearDecayLR, StepDecayLR, schedule_from_config
+from .optim import Adam, ConstantLR, LinearDecayLR, StepDecayLR
 from .snapshot import ModelSnapshot
 
 LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
@@ -76,16 +76,6 @@ class TrainConfig:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["lr_schedule"] = self.lr_schedule.to_json_dict()
         return out
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "TrainConfig":
-        kwargs = dict(obj)
-        if "lr_schedule" in kwargs:
-            kwargs["lr_schedule"] = schedule_from_config(kwargs["lr_schedule"])
-        return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass

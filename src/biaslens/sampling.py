@@ -59,23 +59,38 @@ def _rows_by_class(manifest: DatasetManifest) -> dict[str, list[int]]:
     return rows
 
 
+def _checked_rows_by_class(
+    manifest: DatasetManifest, plan: ResamplePlan, mode: ResampleMode
+) -> dict[str, list[int]]:
+    """The manifest's rows by class, once the plan is known to be a ``mode``
+    plan whose every target is a count that mode can reach for a class
+    the manifest holds."""
+    if plan.mode is not mode:
+        raise ResampleError(f"plan mode is {plan.mode.value}, expected {mode.value}")
+    by_class = _rows_by_class(manifest)
+    for cls, target in plan.target_counts.items():
+        if cls not in by_class:
+            raise ResampleError(f"target for class {cls!r}, which the manifest does not hold")
+        if target < 0:
+            raise ResampleError(f"negative target {target} for class {cls!r}")
+        current, over = len(by_class[cls]), mode is ResampleMode.OVERSAMPLE
+        if (target < current) if over else (target > current):
+            side = "below" if over else "above"
+            raise ResampleError(
+                f"{mode.value.lower()} target {target} {side} current count {current} "
+                f"for class {cls!r}"
+            )
+    return by_class
+
+
 def _oversample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
     """Every row, then duplicates of minority-class rows up to the plan's
     exact targets, drawn uniformly with replacement in sorted class order."""
-    if plan.mode is not ResampleMode.OVERSAMPLE:
-        raise ResampleError(f"plan mode is {plan.mode.value}, expected Oversample")
-    by_class = _rows_by_class(manifest)
-    for cls, target in plan.target_counts.items():
-        current = len(by_class.get(cls, ()))
-        if target < current:
-            raise ResampleError(
-                f"oversample target {target} below current count {current} "
-                f"for class {cls!r}"
-            )
+    by_class = _checked_rows_by_class(manifest, plan, ResampleMode.OVERSAMPLE)
     rng = np.random.default_rng(plan.seed)
     rows = list(range(len(manifest)))
     for cls in sorted(plan.target_counts):
-        pool = by_class.get(cls, [])
+        pool = by_class[cls]
         n_extra = plan.target_counts[cls] - len(pool)
         if n_extra <= 0:
             continue
@@ -87,16 +102,7 @@ def _oversample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]
 def _undersample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
     """Ascending rows of a uniform without-replacement subset of each class
     at the plan's exact target; classes without a target keep every row."""
-    if plan.mode is not ResampleMode.UNDERSAMPLE:
-        raise ResampleError(f"plan mode is {plan.mode.value}, expected Undersample")
-    by_class = _rows_by_class(manifest)
-    for cls, target in plan.target_counts.items():
-        current = len(by_class.get(cls, ()))
-        if target > current:
-            raise ResampleError(
-                f"undersample target {target} above current count {current} "
-                f"for class {cls!r}"
-            )
+    by_class = _checked_rows_by_class(manifest, plan, ResampleMode.UNDERSAMPLE)
     rng = np.random.default_rng(plan.seed)
     kept: list[int] = []
     for cls in sorted(by_class):

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .augment import AugmentKind, AugmentOp, transform_bbox
-from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError
+from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError, write_manifest
 from .nn.train import ArrayDataset
 from .pgm import read_pgm, write_pgm
 
@@ -103,10 +103,6 @@ class SyntheticData:
             sample_ids=tuple(r.sample_id for r in records),
         )
         return cls(manifest=manifest, dataset=dataset)
-
-    @property
-    def conditions(self) -> tuple[Condition, ...]:
-        return tuple(r.condition for r in self.manifest.records)
 
     def subset(self, indices: np.ndarray) -> "SyntheticData":
         return SyntheticData(
@@ -274,24 +270,24 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticData:
     return SyntheticData.from_records(manifest, images, config.class_names)
 
 
-def write_synthetic_dataset(data: SyntheticData, out_dir: str | Path) -> Path:
-    """Write PGM images plus a manifest referencing them; returns the
+def write_dataset(
+    manifest: DatasetManifest,
+    images: Sequence[np.ndarray],
+    out_dir: str | Path,
+    name: str = "manifest.jsonl",
+) -> Path:
+    """Write one (H, W) image per record as ``images/<sample id>.pgm`` and
+    the manifest of the records pointing at them as ``name``; returns the
     manifest path."""
-    from .manifest import write_manifest
-
     out_dir = Path(out_dir)
-    image_dir = out_dir / "images"
-    image_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
     refs = []
-    for i, record in enumerate(data.manifest.records):
+    for record, image in zip(manifest.records, images, strict=True):
         ref = f"images/{record.sample_id}.pgm"
-        write_pgm(data.dataset.images[i, 0], out_dir / ref)
+        write_pgm(image, out_dir / ref)
         refs.append(replace(record, image_ref=ref))
-    manifest = DatasetManifest(
-        records=tuple(refs), taxonomy=data.manifest.taxonomy, seed=data.manifest.seed
-    )
-    path = out_dir / "manifest.jsonl"
-    write_manifest(manifest, path)
+    path = out_dir / name
+    write_manifest(replace(manifest, records=tuple(refs)), path)
     return path
 
 

@@ -32,12 +32,13 @@ from biaslens.audit import (
     run_audit,
     run_mitigation,
 )
-from biaslens.losses import ClassWeights
-from biaslens.manifest import Condition
+from biaslens.losses import ClassWeights, compute_class_weights
+from biaslens.manifest import Condition, compute_distribution
 from biaslens.nn.models import TinyViT, build_model
 from biaslens.nn.optim import StepDecayLR
 from biaslens.nn.train import TrainConfig
 from biaslens.nn.train import evaluate
+from biaslens.sampling import combined_rows
 from biaslens.synthetic import (
     SyntheticConfig,
     SyntheticData,
@@ -384,7 +385,8 @@ class TestSharedSampleIds:
 
     def test_combined_resampling_keeps_each_records_row(self):
         data = with_shared_disk_ids(small_data(n=60, shares=(0.2, 0.5, 0.3)))
-        resampled, plan = audit_mod._resample_training(data, seed=3)
+        rows, plan = combined_rows(data.manifest, seed=3)
+        resampled = data.subset(rows)
         assert plan.target_counts == {"disk": 18, "bar": 18, "cross": 18}
         assert np.bincount(resampled.dataset.labels).tolist() == [18, 18, 18]
         assert_rows_match_records(resampled, data)
@@ -487,6 +489,102 @@ class TestRunMitigation:
         mitigated = run_mitigation(baseline_run, Strategy.RESAMPLE, out_dir=tmp_path)
         assert mitigated.run_dir.name.endswith("-resample")
         assert (mitigated.run_dir / "report.json").exists()
+
+
+class TestStrategiesCompose:
+    """Resample and CostSensitive are steps; Combined takes both in turn,
+    and Augment adds the attention plan's samples and the relevance
+    duplicates to the training split."""
+
+    KEYS = {
+        Strategy.COST_SENSITIVE: {"strategy", "weights_history"},
+        Strategy.RESAMPLE: {"strategy", "resample_plan"},
+        Strategy.COMBINED: {"strategy", "resample_plan", "weights_history"},
+        Strategy.AUGMENT: {"strategy", "augment_plan", "relevance_duplicated", "added_samples"},
+    }
+
+    @staticmethod
+    def _retrain(run, strategy, monkeypatch):
+        """The mitigated run plus the training set and loss of its training."""
+        calls = []
+        inner = audit_mod.train
+
+        def spy(model, train_set, *args, **kwargs):
+            calls.append((train_set, kwargs.get("loss_fn")))
+            return inner(model, train_set, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(audit_mod, "train", spy)
+            mitigated = run_mitigation(run, strategy)
+        assert len(calls) == 1
+        return mitigated, *calls[0]
+
+    @staticmethod
+    def _assert_same_rows(got, want):
+        for name in ("images", "labels", "boxes"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.sample_ids == want.sample_ids
+
+    @pytest.mark.parametrize("strategy", [Strategy.COST_SENSITIVE, Strategy.RESAMPLE, Strategy.COMBINED])
+    def test_record_training_set_and_weights(self, baseline_run, monkeypatch, strategy):
+        mitigated, train_set, loss_fn = self._retrain(baseline_run, strategy, monkeypatch)
+        record = mitigated.report.mitigation
+        assert set(record) == self.KEYS[strategy]
+        train_d = baseline_run.data.subset(baseline_run.splits[0])
+        if "resample_plan" in record:
+            rows, plan = combined_rows(train_d.manifest, seed=baseline_run.options.seed)
+            train_d = train_d.subset(rows)
+            assert record["resample_plan"] == plan.to_json_dict()
+        self._assert_same_rows(train_set, train_d.dataset)
+        if "weights_history" not in record:
+            assert loss_fn is None
+            return
+        weights = compute_class_weights(compute_distribution(train_d.manifest))
+        assert record["weights_history"] == [weights.to_json_dict()]
+        npt.assert_array_equal(loss_fn.keywords["weights"], weights.as_vector(train_d.dataset.class_order))
+
+    def test_combined_trains_on_the_resampled_set_with_its_weights(self, monkeypatch):
+        run = run_audit(small_data(shares=(0.5, 0.3, 0.2)), small_options())
+        _, resampled, none = self._retrain(run, Strategy.RESAMPLE, monkeypatch)
+        _, combined, loss_fn = self._retrain(run, Strategy.COMBINED, monkeypatch)
+        assert none is None
+        self._assert_same_rows(combined, resampled)
+        counts = np.bincount(resampled.labels, minlength=3)
+        assert len(set(counts.tolist())) == 1, "resampling equalizes the classes"
+        train_d = run.data.subset(run.splits[0])
+        rows, _ = combined_rows(train_d.manifest, seed=run.options.seed)
+        weights = compute_class_weights(compute_distribution(train_d.subset(rows).manifest))
+        npt.assert_array_equal(loss_fn.keywords["weights"], weights.as_vector(resampled.class_order))
+
+    def test_augment_trains_on_the_split_plus_new_samples(self, vit_run, monkeypatch):
+        mitigated, train_set, loss_fn = self._retrain(vit_run, Strategy.AUGMENT, monkeypatch)
+        record = mitigated.report.mitigation
+        assert set(record) == self.KEYS[Strategy.AUGMENT]
+        assert loss_fn is None
+        train_d = vit_run.data.subset(vit_run.splits[0])
+        augmented, plan, dup_ids = audit_mod._augment_training(vit_run, train_d)
+        self._assert_same_rows(train_set, augmented.dataset)
+        assert record["augment_plan"] == [r.to_json_dict() for r in plan]
+        assert record["relevance_duplicated"] == dup_ids
+        assert len(train_set) == len(train_d.dataset) + record["added_samples"]
+        self._assert_same_rows(train_set.subset(np.arange(len(train_d.dataset))), train_d.dataset)
+
+    def test_augmentation_is_the_planner_of_the_mitigation(self, vit_run):
+        train_d = vit_run.data.subset(vit_run.splits[0])
+        options = vit_run.options
+        plan, records, images, inference = audit_mod.attention_augmentation(
+            vit_run.model, train_d, options.tau_att, options.kappa
+        )
+        augmented, mitigation_plan, dup_ids = audit_mod._augment_training(vit_run, train_d)
+        assert mitigation_plan == plan
+        n = len(train_d.dataset)
+        assert list(augmented.manifest.records[n : n + len(records)]) == records
+        npt.assert_array_equal(augmented.dataset.images[n : n + len(images), 0], np.reshape(images, (-1, 16, 16)))
+        npt.assert_array_equal(inference.probs, evaluate(vit_run.model, train_d.dataset)["probs"])
+
+    def test_augmentation_needs_a_vit(self, baseline_run):
+        with pytest.raises(AuditError, match="tiny_vit"):
+            audit_mod.attention_augmentation(baseline_run.model, baseline_run.data, 0.5, 1.0)
 
 
 class TestRecalibrate:
@@ -595,6 +693,18 @@ class TestAuditOptions:
         real = (0.7, value, 0.15) if field == "split" else value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AuditOptions(**{field: real})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iou_threshold", 0.0), ("iou_threshold", 1.5), ("probe_per_class", 0), ("probe_per_class", -1),
+         ("sensitivity_samples", 0), ("sensitivity_samples", -1), ("eta", -0.5), ("max_recal_iterations", -1)],
+    )
+    def test_out_of_range_value_rejected_by_name(self, field, value):
+        with pytest.raises(AuditError, match=f"{field} must be"):
+            AuditOptions(**{field: value})
+
+    def test_range_edges_accepted(self):
+        AuditOptions(iou_threshold=1.0, probe_per_class=1, sensitivity_samples=1, eta=0.0, max_recal_iterations=0)
 
     def test_config_hash_is_pinned(self):
         # Run-directory names embed the hash, so the serialized fields,

@@ -5,13 +5,23 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biaslens.audit import AuditOptions, BiasReport, build_audit_model, canonical_json, run_audit
+from biaslens.audit import (
+    AuditOptions,
+    BiasReport,
+    attention_augmentation,
+    build_audit_model,
+    canonical_json,
+    run_audit,
+)
 from biaslens.cli import _API_NAMES, GROUPS, SUBCOMMANDS, CLIError, build_parser, main, resolve_config
 from biaslens.manifest import load_manifest, write_manifest
 from biaslens.behavior import export_heatmap, lrp_propagate
@@ -21,8 +31,9 @@ from biaslens.nn.train import _ROW_BLOCK, TrainConfig, forward_pass
 from biaslens.sampling import combined_resample
 from biaslens.synthetic import (
     SyntheticConfig,
+    dataset_from_manifest,
     generate_synthetic,
-    write_synthetic_dataset,
+    write_dataset,
 )
 
 from conftest import JSON_VALUES
@@ -53,7 +64,7 @@ def dataset_dir(tmp_path_factory):
     data = generate_synthetic(
         SyntheticConfig(n_samples=30, shares=(0.6, 0.2, 0.2), image_hw=(16, 16), seed=1)
     )
-    manifest_path = write_synthetic_dataset(data, root)
+    manifest_path = write_dataset(data.manifest, data.dataset.images[:, 0], root)
     return manifest_path, root
 
 
@@ -218,6 +229,21 @@ class TestRejectedRequest:
     def test_malformed_request(self, tmp_path, capsys, train_calls, sub, flags, name):
         self._rejects([sub, *FAST_AUDIT, *flags], name, tmp_path, capsys, train_calls)
 
+    @pytest.mark.parametrize(
+        "sub, flag, value, key",
+        [
+            ("audit", "--iou-threshold", "0", "iou_threshold"),
+            ("audit", "--iou-threshold", "1.5", "iou_threshold"),
+            ("mitigate", "--sensitivity-samples", "0", "sensitivity_samples"),
+            ("audit", "--sensitivity-samples", "-1", "sensitivity_samples"),
+            ("audit", "--probe-per-class", "-1", "probe_per_class"),
+            ("recalibrate", "--eta", "-1", "eta"),
+            ("recalibrate", "--max-iterations", "-1", "max_recal_iterations"),
+        ],
+    )
+    def test_out_of_range_audit_option(self, tmp_path, capsys, train_calls, sub, flag, value, key):
+        self._rejects([sub, *FAST_AUDIT, f"{flag}={value}"], f"{key} must be", tmp_path, capsys, train_calls)
+
 
 class TestMalformedInputExitsOne:
     """Each malformed input fails with exit code 1 and names its file."""
@@ -268,7 +294,7 @@ class TestMalformedInputExitsOne:
             SyntheticConfig(n_samples=12, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=0)
         )
         root = tmp_path / "data"
-        manifest_path = write_synthetic_dataset(data, root)
+        manifest_path = write_dataset(data.manifest, data.dataset.images[:, 0], root)
         bad = root / load_manifest(manifest_path).records[5].image_ref
         bad.write_bytes(b"P5")
         code = main([
@@ -626,6 +652,20 @@ class TestResample:
             "smallest for Undersample) --out"
         ) in out
 
+    @pytest.mark.parametrize(
+        "mode, target, cls",
+        [("Oversample", "foo=5", "foo"), ("Undersample", "disk=-3", "disk"), ("Undersample", "foo=0", "foo")],
+    )
+    def test_unreachable_target_exits_1_naming_the_class(self, dataset_dir, tmp_path, capsys, mode, target, cls):
+        manifest_path, _ = dataset_dir
+        out = tmp_path / "out"
+        code = main([
+            "resample", "--manifest", str(manifest_path), "--mode", mode, "--target", target, "--out", str(out),
+        ])
+        assert code == 1
+        assert f"class {cls!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_target(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
         code = main([
@@ -894,7 +934,7 @@ class TestMitigateCommand:
         data = generate_synthetic(
             SyntheticConfig(n_samples=60, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=2)
         )
-        manifest_path = write_synthetic_dataset(data, tmp_path / "data")
+        manifest_path = write_dataset(data.manifest, data.dataset.images[:, 0], tmp_path / "data")
         out = tmp_path / "out"
         code = main([
             "mitigate", "--manifest", str(manifest_path), "--images-root", str(tmp_path / "data"),
@@ -933,6 +973,24 @@ class TestAugmentCommand:
         assert isinstance(plan, list)
         assert (out / "augmented.jsonl").exists()
         assert "plan entries:" in capsys.readouterr().out
+
+    def test_writes_what_attention_augmentation_returns(self, dataset_dir, vit_snapshot, tmp_path):
+        manifest_path, root = dataset_dir
+        out = tmp_path / "out"
+        assert main([
+            "augment", "--manifest", str(manifest_path), "--images-root", str(root),
+            "--snapshot", str(vit_snapshot), "--tau-att", "0.9", "--kappa", "2", "--out", str(out),
+        ]) == 0
+        data = dataset_from_manifest(load_manifest(manifest_path), root)
+        model = model_from_snapshot(load_snapshot(vit_snapshot))
+        plan, records, images, _ = attention_augmentation(model, data, 0.9, 2.0)
+        assert records, "the plan adds samples"
+        assert json.loads((out / "plan.json").read_text()) == [r.to_json_dict() for r in plan]
+        written = load_manifest(out / "augmented.jsonl")
+        assert [replace(r, image_ref=None) for r in written.records] == records
+        assert [r.image_ref for r in written.records] == [f"images/{r.sample_id}.pgm" for r in records]
+        pixels = dataset_from_manifest(written, out).dataset.images[:, 0]
+        npt.assert_array_equal(pixels, np.clip(np.rint(np.array(images) * 255.0), 0, 255) / 255.0)
 
     def test_missing_snapshot(self, dataset_dir, tmp_path, capsys):
         manifest_path, root = dataset_dir

@@ -123,16 +123,6 @@ class TestComputeClassWeights:
         with pytest.raises(WeightError, match="ghost"):
             weights.as_vector(["a", "ghost"])
 
-    def test_json_roundtrip(self):
-        manifest = make_manifest({"a": 10, "b": 40, "c": 25})
-        weights = compute_class_weights(compute_distribution(manifest))
-        again = ClassWeights.from_json_dict(weights.to_json_dict())
-        npt.assert_allclose(
-            [again.normalized[c] for c in "abc"],
-            [weights.normalized[c] for c in "abc"],
-            rtol=1e-12,
-        )
-
 
 class TestWeightedCrossEntropy:
     def test_hand_case_weight_two_half_prob(self):

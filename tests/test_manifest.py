@@ -19,6 +19,7 @@ from biaslens.manifest import (
     load_manifest,
     write_manifest,
 )
+from biaslens.synthetic import SyntheticConfig, dataset_from_manifest, generate_synthetic, write_dataset
 
 from conftest import JSON_VALUES, make_manifest, make_record
 
@@ -377,6 +378,26 @@ class TestWriteManifest:
         record = make_record(sample_id=object())
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_manifest(DatasetManifest(records=(record,)), tmp_path / "m.jsonl")
+
+
+class TestWriteDataset:
+    def test_write_read_write_gives_the_same_bytes(self, tmp_path):
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=24, shares=(0.5, 0.25, 0.25), image_hw=(16, 16), seed=4)
+        )
+        first = write_dataset(data.manifest, data.dataset.images[:, 0], tmp_path / "a", name="set.jsonl")
+        again = dataset_from_manifest(load_manifest(first), first.parent)
+        write_dataset(again.manifest, again.dataset.images[:, 0], tmp_path / "b", name="set.jsonl")
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert len(files) == 1 + len(data.dataset)
+        assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+    def test_one_image_per_record(self, tmp_path):
+        data = generate_synthetic(SyntheticConfig(n_samples=6, image_hw=(16, 16)))
+        with pytest.raises(ValueError):
+            write_dataset(data.manifest, data.dataset.images[:5, 0], tmp_path)
 
 
 class TestStreamedIO:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from biaslens.detmetrics import (
     Detection,
     MetricError,
+    TP_ERROR_NAMES,
     TPErrorSet,
     average_precision,
     center_aligned_iou,
@@ -206,8 +207,8 @@ class TestMatching:
                 available.remove(best)
                 tp[d.class_label] += 1
         for c in classes:
-            assert result.tp(c) == tp[c]
             flags = result.flags.get(c, ())
+            assert sum(flags) == tp[c]
             assert len(flags) - sum(flags) == fp[c]
         assert sum(result.fn.values()) == len(available)
 
@@ -285,7 +286,7 @@ class TestMeanAP:
 
 class TestCompositeScore:
     def test_perfect_score(self):
-        errors = TPErrorSet.from_mapping({n: 0.0 for n, _ in TPErrorSet.neutral().values})
+        errors = TPErrorSet.from_mapping({n: 0.0 for n in TP_ERROR_NAMES})
         assert nds(1.0, errors) == 1.0
 
     def test_floor_score(self):
@@ -307,11 +308,11 @@ class TestCompositeScore:
         npt.assert_allclose(nds(0.6, errors), 0.54)
 
     def test_neutral_errors_halve_map(self):
-        npt.assert_allclose(nds(0.8, TPErrorSet.neutral()), 0.4)
+        npt.assert_allclose(nds(0.8, TPErrorSet.from_mapping({})), 0.4)
 
     def test_map_out_of_range_rejected(self):
         with pytest.raises(MetricError, match="mAP"):
-            nds(1.2, TPErrorSet.neutral())
+            nds(1.2, TPErrorSet.from_mapping({}))
 
     def test_negative_error_rejected(self):
         errors = TPErrorSet.from_mapping({"trans_err": -0.1})
@@ -356,7 +357,7 @@ class TestTPErrorMeasurement:
         assert errors["orient_err"] == 1.0  # not measurable from 2-D boxes
 
     def test_no_pairs_defaults_to_neutral(self):
-        assert tp_errors_from_matches([]) == TPErrorSet.neutral()
+        assert tp_errors_from_matches([]) == TPErrorSet.from_mapping({})
 
     def test_center_distance(self):
         assert center_distance((0, 0, 2, 2), (3, 4, 5, 6)) == 5.0

@@ -42,7 +42,7 @@ from pathlib import Path
 from biaslens.audit import AuditOptions, run_audit
 from biaslens.cli import main
 from biaslens.nn.train import TrainConfig
-from biaslens.synthetic import SyntheticConfig, generate_synthetic, write_synthetic_dataset
+from biaslens.synthetic import SyntheticConfig, generate_synthetic, write_dataset
 
 out = Path({str(tmp_path)!r})
 data = generate_synthetic(SyntheticConfig(n_samples=60, image_hw=(16, 16), seed=0))
@@ -55,7 +55,7 @@ options = AuditOptions(
     arch={{"input_hw": (16, 16), "channels": (4, 6), "kernel": 3}},
 )
 run_audit(data, options)
-manifest = write_synthetic_dataset(data, out / "data")
+manifest = write_dataset(data.manifest, data.dataset.images[:, 0], out / "data")
 assert main(["analyze", "--manifest", str(manifest), "--out", str(out / "a")]) == 0
 assert main(["resample", "--manifest", str(manifest), "--out", str(out / "r")]) == 0
 """

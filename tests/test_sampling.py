@@ -102,6 +102,38 @@ class TestRandomUndersample:
             random_undersample(manifest, plan)
 
 
+class TestTargetCheck:
+    """Both resamplers check a plan's targets alike: every target is reached
+    exactly, or ResampleError names the first class whose target the mode
+    cannot reach: one the manifest does not hold, a negative count, or a
+    count on the wrong side of the current one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from("abc"), st.integers(1, 6), min_size=1),
+        targets=st.dictionaries(st.sampled_from("abcd"), st.integers(-3, 9)),
+        over=st.booleans(),
+    )
+    def test_targets_reached_or_class_named(self, counts, targets, over):
+        manifest = make_manifest(counts)
+        mode, resample = (
+            (ResampleMode.OVERSAMPLE, random_oversample) if over
+            else (ResampleMode.UNDERSAMPLE, random_undersample)
+        )
+        plan = ResamplePlan(targets, mode, seed=0)
+        bad = [
+            c for c, t in targets.items()
+            if c not in counts or t < 0 or (t < counts[c] if over else t > counts[c])
+        ]
+        if bad:
+            with pytest.raises(ResampleError, match=f"class {bad[0]!r}"):
+                resample(manifest, plan)
+        else:
+            got = class_counts(resample(manifest, plan))
+            want = {**counts, **targets}
+            assert {c: n for c, n in got.items() if n} == {c: n for c, n in want.items() if n}
+
+
 class TestCombinedResample:
     def test_equalizes_all_classes_at_median(self):
         manifest = make_manifest({"ped": 100, "cyc": 10, "moto": 12})
