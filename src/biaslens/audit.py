@@ -100,10 +100,13 @@ class AuditOptions:
         if not (0.0 < self.iou_threshold <= 1.0):
             raise AuditError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
         for name, low in (
-            ("probe_per_class", 1), ("sensitivity_samples", 1), ("eta", 0), ("max_recal_iterations", 0)
+            ("probe_per_class", 1), ("sensitivity_samples", 1), ("eta", 0), ("max_recal_iterations", 0),
+            ("epsilon_gap", 0),
         ):
             if getattr(self, name) < low:
                 raise AuditError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.target_recall is not None and not (0.0 <= self.target_recall <= 1.0):
+            raise AuditError(f"target_recall must be in [0, 1], got {self.target_recall}")
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -49,14 +49,19 @@ def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
     input pixel|.
 
     The probed activation is the unit's spatial (or patch) mean. One
-    forward fills the layer caches; every unit's backward reads them. A
-    dead unit scores 0; one warning per call lists the dead units.
+    forward fills the layer caches; every unit's backward reads them, and
+    the caches are released at the end. A dead unit scores 0; one warning
+    per call lists the dead units. When the model's taps are rectified, a
+    unit that reads 0 on every sample scores 0 without a backward.
     """
     if images.shape[0] == 0:
         raise BehaviorError("sensitivity needs a non-empty sample set")
     act = dict(model.forward(images, train=False).trunk)[tap]
-    scores = np.empty(act.shape[2] if act.ndim == 3 else act.shape[1])
+    units = np.moveaxis(act, 2 if act.ndim == 3 else 1, 0)
+    scores = np.zeros(len(units))
     for unit in range(len(scores)):
+        if model.rectified_taps and not units[unit].any():  # NaN counts as live
+            continue
         seed = np.zeros_like(act)
         if act.ndim == 4:
             seed[:, unit] = 1.0 / (act.shape[2] * act.shape[3])
@@ -64,10 +69,9 @@ def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
             seed[:, :, unit] = 1.0 / act.shape[1]
         else:
             seed[:, unit] = 1.0
-        model.zero_grads()
         grad = model.backward_from_tap(tap, seed)
-        model.zero_grads()
         scores[unit] = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1).mean()
+    model.release()
     dead = np.flatnonzero(scores == 0.0).tolist()
     if dead:
         _log.warning("units %s at tap %r are dead (zero gradient path)", dead, tap)

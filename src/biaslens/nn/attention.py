@@ -35,6 +35,8 @@ class MultiHeadSelfAttention(Layer):
     tensor with shape (N, heads, P, P).
     """
 
+    _caches = ("_x", "_q", "_k", "_v", "_a", "_merged", "last_attention")
+
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator) -> None:
         super().__init__()
         if dim % n_heads:
@@ -72,12 +74,13 @@ class MultiHeadSelfAttention(Layer):
         self.last_attention = a
         return affine(merged, self.params["Wo"], self.params["bo"])
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         x, q, k, v, a = self._x, self._q, self._k, self._v, self._a
-        n, p, d = x.shape
-        dy2 = dy.reshape(-1, d)
-        self.grads["Wo"] += self._merged.reshape(-1, d).T @ dy2
-        self.grads["bo"] += dy2.sum(axis=0)
+        d = x.shape[-1]
+        if params:
+            dy2 = dy.reshape(-1, d)
+            self.grads["Wo"] += self._merged.reshape(-1, d).T @ dy2
+            self.grads["bo"] += dy2.sum(axis=0)
         dctx = self._split_heads(dy @ self.params["Wo"].T)
 
         da = dctx @ v.transpose(0, 1, 3, 2)
@@ -94,8 +97,9 @@ class MultiHeadSelfAttention(Layer):
         x2 = x.reshape(-1, d)
         for name_w, name_b, grad in (("Wq", "bq", dq), ("Wk", "bk", dk), ("Wv", "bv", dv)):
             merged = self._merge_heads(grad)
-            g2 = merged.reshape(-1, d)
-            self.grads[name_w] += x2.T @ g2
-            self.grads[name_b] += g2.sum(axis=0)
+            if params:
+                g2 = merged.reshape(-1, d)
+                self.grads[name_w] += x2.T @ g2
+                self.grads[name_b] += g2.sum(axis=0)
             dx += merged @ self.params[name_w].T
         return dx

@@ -4,6 +4,11 @@ Every layer caches what its backward pass needs during forward and
 accumulates parameter gradients into preallocated arrays, so gradients
 from several heads can sum into a shared trunk. Call zero_grads()
 between steps.
+
+A backward pass computes only what its caller reads: ``params=False``
+leaves the parameter gradients untouched, and ``inputs=False`` (on the
+layers a model puts first) returns None instead of the input gradient.
+``release()`` drops the forward caches once no backward will read them.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Layer:
     """Base: parameter-free identity-ish layer with grad bookkeeping."""
 
+    # The attributes forward sets for backward; release() drops them.
+    _caches: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
@@ -40,14 +48,21 @@ class Layer:
         for g in self.grads.values():
             g[...] = 0.0
 
+    def release(self) -> None:
+        """Drop the forward caches; parameters, gradients and constants stay."""
+        for name in self._caches:
+            setattr(self, name, None)
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         raise NotImplementedError
 
 
 class Dense(Layer):
+    _caches = ("_x",)
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
@@ -56,7 +71,6 @@ class Dense(Layer):
             "b": np.zeros(out_dim),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
@@ -64,21 +78,25 @@ class Dense(Layer):
         self._x = x
         return affine(x, self.params["W"], self.params["b"])
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, params: bool = True, inputs: bool = True
+    ) -> np.ndarray | None:
         x = self._x
-        x2 = x.reshape(-1, self.in_dim)
         dy2 = dy.reshape(-1, self.out_dim)
-        self.grads["W"] += x2.T @ dy2
-        self.grads["b"] += dy2.sum(axis=0)
-        return (dy2 @ self.params["W"].T).reshape(x.shape)
+        if params:
+            self.grads["W"] += x.reshape(-1, self.in_dim).T @ dy2
+            self.grads["b"] += dy2.sum(axis=0)
+        return (dy2 @ self.params["W"].T).reshape(x.shape) if inputs else None
 
 
 class ReLU(Layer):
+    _caches = ("_mask",)
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._mask = x > 0
         return np.maximum(x, 0.0)  # NaN stays NaN; -0.0 becomes +0.0
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         return dy * self._mask
 
 
@@ -90,6 +108,8 @@ class GELU(Layer):
     Both passes build their result in one buffer and write nothing they
     were given or cached.
     """
+
+    _caches = ("_x", "_e")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         from scipy.special import erf
@@ -103,7 +123,7 @@ class GELU(Layer):
         out *= e
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         x = self._x
         # dy * (0.5 * e + x * exp(-0.5 * x * x) / sqrt(2 pi))
         g = -0.5 * x
@@ -118,6 +138,8 @@ class GELU(Layer):
 
 class Dropout(Layer):
     """Inverted dropout; identity (and rng-silent) when evaluating."""
+
+    _caches = ("_mask",)
 
     def __init__(self, rate: float, rng: np.random.Generator) -> None:
         super().__init__()
@@ -135,11 +157,13 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         return dy * self._mask
 
 
 class LayerNorm(Layer):
+    _caches = ("_inv_sigma", "_xhat")
+
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.dim, self.eps = dim, eps
@@ -157,14 +181,16 @@ class LayerNorm(Layer):
         out += self.params["beta"]
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         # inv_sigma * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
         # in the buffers dxhat and one scratch array t.
         xhat, inv_sigma = self._xhat, self._inv_sigma
-        axes = tuple(range(dy.ndim - 1))
-        t = dy * xhat
-        self.grads["gamma"] += t.sum(axis=axes)
-        self.grads["beta"] += dy.sum(axis=axes)
+        t = np.empty_like(xhat)
+        if params:
+            axes = tuple(range(dy.ndim - 1))
+            np.multiply(dy, xhat, out=t)
+            self.grads["gamma"] += t.sum(axis=axes)
+            self.grads["beta"] += dy.sum(axis=axes)
         dxhat = dy * self.params["gamma"]
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         np.multiply(dxhat, xhat, out=t)
@@ -187,6 +213,8 @@ class Conv2D(Layer):
     BLAS GEMM per sample, so a sample's result does not depend on the
     batch it came in.
     """
+
+    _caches = ("_cols",)
 
     def __init__(
         self,
@@ -234,15 +262,20 @@ class Conv2D(Layer):
         out = w_col @ cols + self.params["b"][None, :, None]
         return out.reshape(n, self.out_channels, oh, ow)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, params: bool = True, inputs: bool = True
+    ) -> np.ndarray | None:
         n, _, h, w = self._x_shape
         oh, ow = self._out_hw
         k, s, p = self.kernel, self.stride, self.padding
         dy2 = dy.reshape(n, self.out_channels, oh * ow)
-        self.grads["W"] += (dy2 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.params["W"].shape
-        )
-        self.grads["b"] += dy2.sum(axis=(0, 2))
+        if params:
+            self.grads["W"] += (dy2 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+                self.params["W"].shape
+            )
+            self.grads["b"] += dy2.sum(axis=(0, 2))
+        if not inputs:
+            return None
         w_col = self.params["W"].reshape(self.out_channels, -1)
         dcols = (w_col.T @ dy2).reshape(n, self.in_channels, k, k, oh, ow)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
@@ -263,6 +296,8 @@ class MaxPool2D(Layer):
     a time. The mask, not ``x``, is what stays cached: it is an eighth of
     the bytes.
     """
+
+    _caches = ("_mask",)
 
     def __init__(self, size: int = 2) -> None:
         super().__init__()
@@ -296,7 +331,7 @@ class MaxPool2D(Layer):
         self._mask, self._in_shape = mask, x.shape
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         dx = np.empty(self._in_shape)
         for win, v in zip(self._mask, self._views()):
             dx[v] = np.where(win, dy, 0.0)

@@ -47,6 +47,8 @@ class SpatialBoxHead(Layer):
     positions from far fewer samples than a dense per-cell regressor.
     """
 
+    _caches = ("_cells", "_alpha", "_pooled", "_size")
+
     def __init__(
         self, feat_dim: int, grid_hw: tuple[int, int], rng: np.random.Generator
     ) -> None:
@@ -78,17 +80,19 @@ class SpatialBoxHead(Layer):
         self._size = _sigmoid(self._pooled @ self.params["size_W"] + self.params["size_b"])
         return np.concatenate([center, self._size], axis=1)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
         cells, alpha = self._cells, self._alpha
         d_pre = dy[:, 2:] * self._size * (1.0 - self._size)
-        self.grads["size_W"] += self._pooled.T @ d_pre
-        self.grads["size_b"] += d_pre.sum(axis=0)
+        if params:
+            self.grads["size_W"] += self._pooled.T @ d_pre
+            self.grads["size_b"] += d_pre.sum(axis=0)
         g_pooled = d_pre @ self.params["size_W"].T  # (N, C)
         g_alpha = dy[:, :2] @ self._centers.T
         g_alpha += np.einsum("nc,nkc->nk", g_pooled, cells)
         g_s = alpha * (g_alpha - (alpha * g_alpha).sum(axis=1, keepdims=True))
-        self.grads["score_w"] += np.einsum("nk,nkc->c", g_s, cells)
-        self.grads["score_b"] += g_s.sum()
+        if params:
+            self.grads["score_w"] += np.einsum("nk,nkc->c", g_s, cells)
+            self.grads["score_b"] += g_s.sum()
         return (
             g_s[:, :, None] * self.params["score_w"]
             + alpha[:, :, None] * g_pooled[:, None, :]
@@ -107,8 +111,13 @@ class ForwardResult:
 class _ModelBase:
     kind = "base"
 
+    # True when every trunk tap is a ReLU output: a unit that reads 0 on
+    # every sample then has no gradient path to the input.
+    rectified_taps = False
+
     def __init__(self) -> None:
         self._named_layers: dict[str, Layer] = {}
+        self._layers: list[Layer] = []  # every layer, parameter-free ones too
         self.arch: dict = {}
         self.seed: int = 0
 
@@ -129,6 +138,13 @@ class _ModelBase:
     def zero_grads(self) -> None:
         for layer in self._named_layers.values():
             layer.zero_grads()
+
+    def release(self) -> None:
+        """Drop every layer's forward caches, so that a model between
+        passes holds only its parameters, gradients and constants. The
+        next backward needs a forward first."""
+        for layer in self._layers:
+            layer.release()
 
     def load_parameters(self, params: Mapping[str, np.ndarray]) -> None:
         own = self.named_parameters()
@@ -158,6 +174,7 @@ class TinyCNN(_ModelBase):
     """conv-relu-pool x2 -> flatten -> dense heads."""
 
     kind = "tiny_cnn"
+    rectified_taps = True
 
     def __init__(
         self,
@@ -203,48 +220,56 @@ class TinyCNN(_ModelBase):
         self._feat_grid = (h // 4, w // 4)
         self._box = SpatialBoxHead(c2, self._feat_grid, rng) if box_head else None
         self._named_layers = {"conv1": self._conv1, "conv2": self._conv2, "cls": self._cls}
+        self._layers = [*self._trunk, self._cls]
         if self._box is not None:
             self._named_layers["box"] = self._box
+            self._layers.append(self._box)
 
     @property
     def trunk_taps(self) -> list[str]:
         return list(self._tap_index)
 
     def forward(self, x: np.ndarray, train: bool = False) -> ForwardResult:
-        x = self._check_input(x)
-        outs = []
-        h = x
-        for layer in self._trunk:
+        h = self._check_input(x)
+        taps = {i: name for name, i in self._tap_index.items()}
+        trunk = []
+        for i, layer in enumerate(self._trunk):
             h = layer.forward(h, train)
-            outs.append(h)
+            if i in taps:
+                trunk.append((taps[i], h))
         n, c = h.shape[:2]  # h: (N, C, gh, gw)
         self._fmap_shape = h.shape
         logits = self._cls.forward(h.reshape(n, -1))
         box = None
         if self._box is not None:
             box = self._box.forward(h.reshape(n, c, -1).transpose(0, 2, 1))
-        trunk = [(name, outs[i]) for name, i in self._tap_index.items()]
         return ForwardResult(logits, softmax(logits), box, trunk, None)
 
     def backward(
-        self, grad_logits: np.ndarray, grad_box: np.ndarray | None = None
-    ) -> np.ndarray:
+        self,
+        grad_logits: np.ndarray,
+        grad_box: np.ndarray | None = None,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """Accumulate every parameter gradient; return the input gradient,
+        or None without computing it when ``input_grad`` is False."""
         g = self._cls.backward(grad_logits).reshape(self._fmap_shape)
         if grad_box is not None:
             if self._box is None:
                 raise ShapeError("model has no box head")
             g_cells = self._box.backward(grad_box)
             g = g + g_cells.transpose(0, 2, 1).reshape(self._fmap_shape)
-        for layer in reversed(self._trunk):
+        for layer in reversed(self._trunk[1:]):
             g = layer.backward(g)
-        return g
+        return self._conv1.backward(g, inputs=input_grad)
 
     def backward_from_tap(self, tap: str, seed_grad: np.ndarray) -> np.ndarray:
-        """Backprop an upstream gradient at a trunk tap down to the input."""
+        """Backprop an upstream gradient at a trunk tap down to the input;
+        no parameter gradient is computed or touched."""
         idx = self._tap_index[tap]
         g = seed_grad
         for layer in reversed(self._trunk[: idx + 1]):
-            g = layer.backward(g)
+            g = layer.backward(g, params=False)
         return g
 
 
@@ -278,11 +303,11 @@ class _TransformerBlock:
         m = self.fc2.forward(self.drop.forward(self.gelu.forward(self.fc1.forward(v, train), train), train), train)
         return x1 + m
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dv = self.fc1.backward(self.gelu.backward(self.drop.backward(self.fc2.backward(dy))))
-        dx1 = dy + self.ln2.backward(dv)
-        du = self.attn.backward(dx1)
-        return dx1 + self.ln1.backward(du)
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
+        dm = self.gelu.backward(self.drop.backward(self.fc2.backward(dy, params)))
+        dx1 = dy + self.ln2.backward(self.fc1.backward(dm, params), params)
+        du = self.attn.backward(dx1, params)
+        return dx1 + self.ln1.backward(du, params)
 
 
 class TinyViT(_ModelBase):
@@ -349,6 +374,8 @@ class TinyViT(_ModelBase):
         self._named_layers["cls"] = self._cls
         if self._box is not None:
             self._named_layers["box"] = self._box
+        self._layers = [*self._named_layers.values(), self._embed_drop]
+        self._layers += [layer for blk in self._blocks for layer in (blk.gelu, blk.drop)]
 
     @property
     def trunk_taps(self) -> list[str]:
@@ -401,24 +428,31 @@ class TinyViT(_ModelBase):
         return self._final_ln.backward(d_hn)
 
     def backward(
-        self, grad_logits: np.ndarray, grad_box: np.ndarray | None = None
-    ) -> np.ndarray:
+        self,
+        grad_logits: np.ndarray,
+        grad_box: np.ndarray | None = None,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """As TinyCNN.backward: ``input_grad=False`` skips the input gradient."""
         g = self._head_grad_to_tokens(grad_logits, grad_box)
         for blk in reversed(self._blocks):
             g = blk.backward(g)
-        return self._embed_to_input(g)
+        return self._embed_to_input(g, inputs=input_grad)
 
-    def _embed_to_input(self, g_tokens: np.ndarray) -> np.ndarray:
+    def _embed_to_input(
+        self, g_tokens: np.ndarray, params: bool = True, inputs: bool = True
+    ) -> np.ndarray | None:
         g = self._embed_drop.backward(g_tokens)
-        g = self._pos.backward(g)
-        return self._unpatchify(self._embed.backward(g))
+        g = self._embed.backward(self._pos.backward(g, params), params, inputs)
+        return None if g is None else self._unpatchify(g)
 
     def backward_from_tap(self, tap: str, seed_grad: np.ndarray) -> np.ndarray:
+        """As TinyCNN.backward_from_tap."""
         idx = self.trunk_taps.index(tap)
         g = seed_grad
         for blk in reversed(self._blocks[: idx + 1]):
-            g = blk.backward(g)
-        return self._embed_to_input(g)
+            g = blk.backward(g, params=False)
+        return self._embed_to_input(g, params=False)
 
 
 class _PositionEmbedding(Layer):
@@ -432,8 +466,9 @@ class _PositionEmbedding(Layer):
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return x + self.params["pos"]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.grads["pos"] += dy.sum(axis=0)
+    def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
+        if params:
+            self.grads["pos"] += dy.sum(axis=0)
         return dy
 
 

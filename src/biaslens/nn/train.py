@@ -217,6 +217,7 @@ def forward_pass(
     ``_ROW_BLOCK`` rows, and the padding is dropped before anything is
     stored, so no product runs a BLAS row-tail kernel: a sample's outputs
     are the same bits whatever the chunk size or its place in the chunk.
+    The model's forward caches are released at the end.
     """
     n = images.shape[0]
     arrays: dict[tuple, np.ndarray] = {}
@@ -239,6 +240,7 @@ def forward_pass(
             if key not in arrays:
                 arrays[key] = np.empty((n, *value.shape[1:]))
             arrays[key][start : start + rows] = value[:rows]
+    model.release()
     return _Pass(
         probs=arrays[("probs",)],
         boxes=arrays.get(("boxes",)),
@@ -309,16 +311,18 @@ def train(
             idx = perm[start : start + config.batch_size]
             model.zero_grads()
             res = model.forward(train_set.images[idx], train=True)
-            loss, grad_logits = loss_fn(res.logits, labels_oh[idx])
+            logits, box = res.logits, res.box
+            del res  # its probabilities and tap outputs need not outlive the step
+            loss, grad_logits = loss_fn(logits, labels_oh[idx])
             grad_box = None
             total = loss
-            if fit_boxes and res.box is not None:
-                diff = res.box - train_set.boxes[idx]
+            if fit_boxes and box is not None:
+                diff = box - train_set.boxes[idx]
                 total += config.box_loss_weight * float(np.mean(diff * diff))
                 grad_box = config.box_loss_weight * 2.0 * diff / diff.size
             if not math.isfinite(total):
                 raise TrainAbort(epoch, batch_no, total)
-            model.backward(grad_logits, grad_box)
+            model.backward(grad_logits, grad_box, input_grad=False)
             opt.step(model.named_parameters(), model.named_grads(), lr)
             loss_sum += total * len(idx)
             seen += len(idx)

@@ -697,7 +697,8 @@ class TestAuditOptions:
     @pytest.mark.parametrize(
         "field, value",
         [("iou_threshold", 0.0), ("iou_threshold", 1.5), ("probe_per_class", 0), ("probe_per_class", -1),
-         ("sensitivity_samples", 0), ("sensitivity_samples", -1), ("eta", -0.5), ("max_recal_iterations", -1)],
+         ("sensitivity_samples", 0), ("sensitivity_samples", -1), ("eta", -0.5), ("max_recal_iterations", -1),
+         ("target_recall", -3.0), ("target_recall", 1.01), ("epsilon_gap", -1.0)],
     )
     def test_out_of_range_value_rejected_by_name(self, field, value):
         with pytest.raises(AuditError, match=f"{field} must be"):
@@ -705,6 +706,8 @@ class TestAuditOptions:
 
     def test_range_edges_accepted(self):
         AuditOptions(iou_threshold=1.0, probe_per_class=1, sensitivity_samples=1, eta=0.0, max_recal_iterations=0)
+        for target in (0.0, 1.0):
+            AuditOptions(target_recall=target, epsilon_gap=0.0)
 
     def test_config_hash_is_pinned(self):
         # Run-directory names embed the hash, so the serialized fields,

@@ -43,7 +43,10 @@ from conftest import ForwardRecorder, make_record
 
 
 class LinearProbeModel:
-    """Minimal trunk stub: one tap whose activations are x @ W."""
+    """Minimal trunk stub: one tap whose activations are x @ W. A unit
+    that reads 0 can still have a gradient, so its tap is not rectified."""
+
+    rectified_taps = False
 
     def __init__(self, w: np.ndarray) -> None:
         self.w = np.asarray(w, dtype=np.float64)
@@ -54,7 +57,7 @@ class LinearProbeModel:
             logits=act, probs=act, box=None, trunk=[("lin", act)], attention=None
         )
 
-    def zero_grads(self):
+    def release(self):
         pass
 
     def backward_from_tap(self, tap, seed):
@@ -197,9 +200,7 @@ def reference_sensitivity(model, images, tap, unit):
         seed[:, :, unit] = 1.0 / act.shape[1]
     else:
         seed[:, unit] = 1.0
-    model.zero_grads()
     grad = model.backward_from_tap(tap, seed)
-    model.zero_grads()
     per_sample = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1)
     return float(per_sample.mean())
 
@@ -245,6 +246,57 @@ class TestSensitivityScores:
     def test_linear_probe(self, w, n):
         model = LinearProbeModel(np.array(w).reshape(2, 3))
         self._assert_matches_reference(model, np.zeros((n, 2)), {"lin": 3})
+
+    @staticmethod
+    def _with_dead_channel(seed, tap, unit):
+        """A TinyCNN whose ``unit`` at ``tap`` reads 0 on every input: its
+        conv weights are 0 and its bias is negative, so ReLU closes it."""
+        model = TinyCNN(
+            n_classes=2, input_hw=(8, 8), channels=(3, 4), box_head=False, seed=seed % 1000
+        )
+        params = model.named_parameters()
+        params[f"{tap}.W"][unit] = 0.0
+        params[f"{tap}.b"][unit] = -1.0
+        return model
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        tap_unit=st.sampled_from([("conv1", u) for u in range(3)] + [("conv2", u) for u in range(4)]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_dead_unit_skips_its_backward(self, seed, n, tap_unit):
+        tap, dead = tap_unit
+        model = self._with_dead_channel(seed, tap, dead)
+        images = np.random.default_rng(seed).random((n, 1, 8, 8))
+        act = dict(model.forward(images).trunk)[tap]
+        live = [u for u in range(act.shape[1]) if act[:, u].any()]
+        assert dead not in live
+        probed = []
+        backward_from_tap = model.backward_from_tap
+
+        def counting(tap, seed_grad):
+            probed.extend(np.flatnonzero(seed_grad.any(axis=(0, 2, 3))).tolist())
+            return backward_from_tap(tap, seed_grad)
+
+        model.backward_from_tap = counting
+        scores = sensitivity_scores(model, images, tap)
+        assert probed == live
+        del model.backward_from_tap
+        expected = [reference_sensitivity(model, images, tap, u) for u in range(act.shape[1])]
+        assert scores.tolist() == expected
+        assert scores[dead] == 0.0
+
+    def test_skipped_dead_unit_is_in_the_warning(self, caplog):
+        model = self._with_dead_channel(0, "conv2", 2)
+        images = np.random.default_rng(0).random((2, 1, 8, 8))
+        with caplog.at_level(logging.WARNING, logger="biaslens.behavior"):
+            scores = sensitivity_scores(model, images, "conv2")
+        dead = np.flatnonzero(scores == 0.0).tolist()
+        assert 2 in dead
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"units {dead} at tap 'conv2' are dead (zero gradient path)"
+        ]
 
 
 class TestUnitActivations:

@@ -244,6 +244,19 @@ class TestRejectedRequest:
     def test_out_of_range_audit_option(self, tmp_path, capsys, train_calls, sub, flag, value, key):
         self._rejects([sub, *FAST_AUDIT, f"{flag}={value}"], f"{key} must be", tmp_path, capsys, train_calls)
 
+    @pytest.mark.parametrize("key, value", [("target_recall", -3), ("epsilon_gap", -1)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_recalibration_target(self, tmp_path, capsys, train_calls, key, value, source):
+        """A recall target outside [0, 1] or a negative gap would make the
+        loop clamp every weight, or spend its whole budget."""
+        if source == "flag":
+            extra = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        self._rejects(["recalibrate", *FAST_AUDIT, *extra], f"{key} must be", tmp_path, capsys, train_calls)
+
 
 class TestMalformedInputExitsOne:
     """Each malformed input fails with exit code 1 and names its file."""
