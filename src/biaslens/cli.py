@@ -37,6 +37,7 @@ from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights
 from .manifest import (
     DatasetManifest,
+    class_counts,
     compute_distribution,
     load_manifest,
     write_manifest,
@@ -145,20 +146,26 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
     for key, value in resolved.items():  # before any work: NaN passes every range check
         if isinstance(value, float) and not math.isfinite(value):
             raise CLIError(f"{_API_NAMES.get(key, key)} must be finite, got {value}")
-    if "seed" in flags and resolved.get("seed") is None:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
+    if "seed" in flags:
+        source = "--seed" if "seed" in explicit else f"config file {config_path}: seed"
+        if resolved.get("seed") is None:
+            source, env = f"${ENV_SEED}", os.environ.get(ENV_SEED)
             try:
-                resolved["seed"] = int(env)
+                resolved["seed"] = 0 if env is None else int(env)
             except ValueError:
-                raise CLIError(f"${ENV_SEED} must be an integer, got {env!r}") from None
-        else:
-            resolved["seed"] = 0
+                raise CLIError(f"{source} must be an integer, got {env!r}") from None
+        _check_seed(resolved["seed"], source)
     return RunConfig(
         subcommand=subcommand,
         out_dir=Path(out_dir) if out_dir is not None else None,
         values=resolved,
     )
+
+
+def _check_seed(seed: int, source: str) -> None:
+    """numpy's generators take no negative seed; reject one before any work."""
+    if seed < 0:
+        raise CLIError(f"{source} must be a non-negative integer, got {seed}")
 
 
 def _parse_tuple(text: str, flag: str, kind: type = int) -> tuple:
@@ -247,7 +254,10 @@ def _for_data(options: AuditOptions, data: SyntheticData) -> AuditOptions:
 
 def _seed_list(cfg: RunConfig) -> list[int]:
     if cfg.values.get("seeds"):
-        return list(_parse_tuple(cfg.values["seeds"], "--seeds"))
+        seeds = list(_parse_tuple(cfg.values["seeds"], "--seeds"))
+        for seed in seeds:
+            _check_seed(seed, "--seeds")
+        return seeds
     return [cfg.values["seed"]]
 
 
@@ -297,7 +307,9 @@ def cmd_resample(cfg: RunConfig) -> int:
     if targets and mode is ResampleMode.COMBINED:
         raise CLIError("--target applies to Oversample and Undersample only; Combined equalizes at the median")
     manifest = _load_manifest(cfg)
-    counts = compute_distribution(manifest).counts
+    counts = class_counts(manifest)
+    if not counts:
+        raise CLIError(f"manifest {cfg.values['manifest']} holds no record to resample")
     seed = cfg.values["seed"]
     if mode is ResampleMode.COMBINED:
         resampled, plan = combined_resample(manifest, seed=seed)
@@ -305,17 +317,20 @@ def cmd_resample(cfg: RunConfig) -> int:
         pick = max if mode is ResampleMode.OVERSAMPLE else min
         plan = ResamplePlan(targets or {c: pick(counts.values()) for c in counts}, mode, seed)
         resampled = apply_resample(manifest, plan)
+    if not resampled.records:
+        named = ", ".join(f"{c}={n}" for c, n in sorted(plan.target_counts.items()))
+        raise CLIError(f"{mode.value} targets {named} leave no record")
     cfg.write()
     out = cfg.out_dir
     write_manifest(resampled, out / "resampled.jsonl")
     (out / "plan.json").write_text(canonical_json(plan.to_json_dict()) + "\n", encoding="utf-8")
-    new_dist = compute_distribution(resampled)
+    new_counts = class_counts(resampled)
     (out / "distribution.json").write_text(
-        canonical_json({"counts": dict(sorted(new_dist.counts.items())), "total": new_dist.total}) + "\n",
+        canonical_json({"counts": dict(sorted(new_counts.items())), "total": len(resampled)}) + "\n",
         encoding="utf-8",
     )
-    for c in sorted(new_dist.counts):
-        print(f"{c}: {counts.get(c, 0)} -> {new_dist.counts[c]}")
+    for c in sorted(new_counts):
+        print(f"{c}: {counts[c]} -> {new_counts[c]}")
     return 0
 
 

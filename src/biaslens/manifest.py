@@ -4,14 +4,37 @@ A manifest is a JSONL file: one annotation record per line, optionally
 preceded by a header line declaring extra taxonomy labels and the seed.
 Blank lines are skipped, and a record's numbers must load exactly as written.
 All types are immutable; operations are pure functions.
+
+The writer emits each record as ``json.dumps`` of its ``to_json_dict`` would:
+
+    {"sample_id": "s0", "class_label": "car", "bbox": [1.5, 2.0, 30.25, 31.0], \
+"condition": "Night", "image_size": [1600, 900], "image_ref": "img/s0.pgm"}
+
+keys in that order, ``image_ref`` only when set, ", " and ": " separators,
+strings ASCII-escaped, floats as their shortest round-trip repr. A record
+whose ids are ``str``, whose numbers are ``float`` or ``int`` (not bool, not
+numpy) and whose condition is a ``Condition`` is formatted directly; any
+other record goes through the JSON encoder, which gives the same bytes or
+the same error.
+
+The reader builds a record directly when the decoded line has exactly the
+types the writer emits: ``str`` ids, a 4-list of ``float``, a 2-list of
+``int``, a known condition string and a ``str`` or absent ``image_ref``.
+Every other line (integer coordinates, bools, strings for numbers, missing
+keys, wrong lengths) takes the checked path, which coerces exact numbers and
+names the problem. Both paths end in ``__post_init__``, the one validator of
+a record's invariants, which also rejects NaN and infinite coordinates.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -95,6 +118,28 @@ class AnnotationRecord:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "AnnotationRecord":
         try:
+            sample_id, class_label = obj["sample_id"], obj["class_label"]
+            bbox, size, image_ref = obj["bbox"], obj["image_size"], obj.get("image_ref")
+            condition = _CONDITIONS[obj["condition"]]
+        except (KeyError, TypeError):
+            pass  # the checked path names the missing key or the bad condition
+        else:
+            if (
+                type(sample_id) is str and type(class_label) is str
+                and type(bbox) is list and len(bbox) == 4
+                and type(size) is list and len(size) == 2
+                and (image_ref is None or type(image_ref) is str)
+            ):
+                x1, y1, x2, y2 = bbox
+                w, h = size
+                if (
+                    type(x1) is type(y1) is type(x2) is type(y2) is float
+                    and type(w) is type(h) is int
+                ):
+                    return _exact_record(
+                        sample_id, class_label, (x1, y1, x2, y2), condition, (w, h), image_ref
+                    )
+        try:
             condition = _CONDITIONS[obj["condition"]]
         except (KeyError, TypeError):
             try:
@@ -132,6 +177,26 @@ class AnnotationRecord:
             )
         except KeyError as exc:
             raise ManifestError(f"missing key {exc.args[0]!r}") from None
+
+
+_SET_SAMPLE_ID, _SET_CLASS_LABEL, _SET_BBOX, _SET_CONDITION, _SET_IMAGE_SIZE, _SET_IMAGE_REF = (
+    getattr(AnnotationRecord, f.name).__set__ for f in fields(AnnotationRecord)
+)
+
+
+def _exact_record(sample_id, class_label, bbox, condition, image_size, image_ref) -> AnnotationRecord:
+    """The record of field values that already have the field types. The
+    slots are set through their descriptors, not through the frozen
+    ``__init__``'s ``object.__setattr__``; ``__post_init__`` then validates."""
+    record = object.__new__(AnnotationRecord)
+    _SET_SAMPLE_ID(record, sample_id)
+    _SET_CLASS_LABEL(record, class_label)
+    _SET_BBOX(record, bbox)
+    _SET_CONDITION(record, condition)
+    _SET_IMAGE_SIZE(record, image_size)
+    _SET_IMAGE_REF(record, image_ref)
+    record.__post_init__()
+    return record
 
 
 @dataclass(frozen=True)
@@ -248,11 +313,49 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    encode = _ENCODER.encode
     with path.open("w", encoding="utf-8") as fh:
         header = {"taxonomy": sorted(manifest.taxonomy), "seed": manifest.seed}
-        fh.write(encode(header) + "\n")
-        fh.writelines(encode(record.to_json_dict()) + "\n" for record in manifest.records)
+        fh.write(_ENCODER.encode(header) + "\n")
+        fh.writelines(map(_record_line, manifest.records))
+
+
+# json's own text of a float and of an int; bool and numpy numbers are not keys
+_NUMBER_REPR = {float: float.__repr__, int: int.__repr__}
+
+
+def _record_line(record: AnnotationRecord) -> str:
+    """The record's JSONL line, formatted directly when its fields have the
+    plain types the module docstring names, else by the encoder."""
+    if type(record.condition) is Condition:
+        number = _NUMBER_REPR
+        try:
+            x1, y1, x2, y2 = record.bbox
+            w, h = record.image_size
+            line = (
+                f'{{"sample_id": {_quote(record.sample_id)}, '
+                f'"class_label": {_quote(record.class_label)}, '
+                f'"bbox": [{number[type(x1)](x1)}, {number[type(y1)](y1)}, '
+                f'{number[type(x2)](x2)}, {number[type(y2)](y2)}], '
+                f'"condition": {_quote(record.condition._value_)}, '
+                f'"image_size": [{number[type(w)](w)}, {number[type(h)](h)}]'
+            )
+            if record.image_ref is None:
+                return line + "}\n"
+            return f'{line}, "image_ref": {_quote(record.image_ref)}}}\n'
+        except (KeyError, TypeError):  # a number or a string of another type
+            pass
+    return _ENCODER.encode(record.to_json_dict()) + "\n"
+
+
+_CLASS_LABEL = attrgetter("class_label")
+# The condition by its value string: hashing the member itself would run
+# Enum.__hash__, in Python, for every record.
+_LABEL_AND_CONDITION = attrgetter("class_label", "condition._value_")
+
+
+def class_counts(manifest: DatasetManifest) -> dict[str, int]:
+    """Records per class, in first-seen class order."""
+    return dict(Counter(map(_CLASS_LABEL, manifest.records)))
 
 
 def compute_distribution(manifest: DatasetManifest) -> ClassDistribution:
@@ -263,12 +366,14 @@ def compute_distribution(manifest: DatasetManifest) -> ClassDistribution:
     """
     if len(manifest) == 0:
         raise ManifestError("cannot compute distribution of an empty manifest")
+    # Pairs count in first-seen order, so both maps keep their keys in
+    # first-seen order, as a per-record loop builds them.
+    pairs = Counter(map(_LABEL_AND_CONDITION, manifest.records))
     counts: dict[str, int] = {}
     per_condition: dict[Condition, dict[str, int]] = {}
-    for record in manifest.records:
-        counts[record.class_label] = counts.get(record.class_label, 0) + 1
-        cond_map = per_condition.setdefault(record.condition, {})
-        cond_map[record.class_label] = cond_map.get(record.class_label, 0) + 1
+    for (label, condition), n in pairs.items():
+        counts[label] = counts.get(label, 0) + n
+        per_condition.setdefault(_CONDITIONS[condition], {})[label] = n
     total = len(manifest)
     percentages = {c: 100.0 * n / total for c, n in counts.items()}
     return ClassDistribution(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -83,55 +84,69 @@ def _checked_rows_by_class(
     return by_class
 
 
+def _duplicate_rows(by_class: dict[str, list[int]], targets: dict[str, int], seed: int) -> list[int]:
+    """Duplicates of each class's rows up to its target, drawn uniformly
+    with replacement, in sorted class order."""
+    rng = np.random.default_rng(seed)
+    extra: list[int] = []
+    for cls in sorted(targets):
+        pool = by_class[cls]
+        n_extra = targets[cls] - len(pool)
+        if n_extra > 0:
+            extra.extend(pool[i] for i in rng.integers(0, len(pool), size=n_extra).tolist())
+    return extra
+
+
+def _kept_rows_by_class(
+    by_class: dict[str, list[int]], targets: dict[str, int], seed: int
+) -> dict[str, list[int]]:
+    """Each class's ascending rows of a uniform without-replacement subset at
+    its target; a class without a target keeps every row."""
+    rng = np.random.default_rng(seed)
+    kept: dict[str, list[int]] = {}
+    for cls in sorted(by_class):
+        rows = by_class[cls]
+        target = targets.get(cls, len(rows))
+        if target == len(rows):
+            kept[cls] = rows
+        else:
+            kept[cls] = sorted(rows[i] for i in rng.choice(len(rows), size=target, replace=False).tolist())
+    return kept
+
+
 def _oversample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
     """Every row, then duplicates of minority-class rows up to the plan's
     exact targets, drawn uniformly with replacement in sorted class order."""
     by_class = _checked_rows_by_class(manifest, plan, ResampleMode.OVERSAMPLE)
-    rng = np.random.default_rng(plan.seed)
-    rows = list(range(len(manifest)))
-    for cls in sorted(plan.target_counts):
-        pool = by_class[cls]
-        n_extra = plan.target_counts[cls] - len(pool)
-        if n_extra <= 0:
-            continue
-        picks = rng.integers(0, len(pool), size=n_extra)
-        rows.extend(pool[i] for i in picks)
-    return rows
+    return [*range(len(manifest)), *_duplicate_rows(by_class, plan.target_counts, plan.seed)]
 
 
 def _undersample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
     """Ascending rows of a uniform without-replacement subset of each class
     at the plan's exact target; classes without a target keep every row."""
     by_class = _checked_rows_by_class(manifest, plan, ResampleMode.UNDERSAMPLE)
-    rng = np.random.default_rng(plan.seed)
-    kept: list[int] = []
-    for cls in sorted(by_class):
-        rows = by_class[cls]
-        target = plan.target_counts.get(cls, len(rows))
-        if target == len(rows):
-            kept.extend(rows)
-        else:
-            kept.extend(rows[i] for i in rng.choice(len(rows), size=target, replace=False))
-    return sorted(kept)
+    kept = _kept_rows_by_class(by_class, plan.target_counts, plan.seed)
+    return sorted(chain.from_iterable(kept.values()))
 
 
 def combined_rows(
     manifest: DatasetManifest, seed: int = 0
 ) -> tuple[list[int], ResamplePlan]:
     """Rows that equalize all per-class counts at the median: undersample
-    above it, then oversample below it."""
-    counts = {c: len(rows) for c, rows in _rows_by_class(manifest).items()}
-    median = int(np.median(sorted(counts.values())))
-    under_targets = {c: min(n, median) for c, n in counts.items()}
-    over_targets = {c: median for c in counts}
-    kept = _undersample_rows(
-        manifest, ResamplePlan(under_targets, ResampleMode.UNDERSAMPLE, seed=seed)
-    )
-    picks = _oversample_rows(
-        manifest.subset(kept), ResamplePlan(over_targets, ResampleMode.OVERSAMPLE, seed=seed)
-    )
-    plan = ResamplePlan(target_counts=over_targets, mode=ResampleMode.COMBINED, seed=seed)
-    return [kept[i] for i in picks], plan
+    above it, then oversample below it.
+
+    The rows are grouped by class once. The undersample keeps each class's
+    rows in ascending order, which is the order in which the kept subset
+    lists them, so duplicates drawn from those lists are the rows that
+    oversampling the kept subset would draw.
+    """
+    by_class = _rows_by_class(manifest)
+    median = int(np.median(sorted(len(rows) for rows in by_class.values())))
+    kept = _kept_rows_by_class(by_class, {c: min(len(r), median) for c, r in by_class.items()}, seed)
+    over_targets = {c: median for c in by_class}
+    rows = sorted(chain.from_iterable(kept.values()))
+    rows += _duplicate_rows(kept, over_targets, seed)
+    return rows, ResamplePlan(target_counts=over_targets, mode=ResampleMode.COMBINED, seed=seed)
 
 
 def random_oversample(manifest: DatasetManifest, plan: ResamplePlan) -> DatasetManifest:

@@ -3,6 +3,7 @@ resolution precedence, artifact layout, and reproducibility."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -36,7 +37,7 @@ from biaslens.synthetic import (
     write_dataset,
 )
 
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, make_record
 
 FAST_TRAIN = [
     "--channels", "4,6", "--epochs", "2", "--batch-size", "16",
@@ -256,6 +257,38 @@ class TestRejectedRequest:
             cfg.write_text(json.dumps({key: value}), encoding="utf-8")
             extra = ["--config", str(cfg)]
         self._rejects(["recalibrate", *FAST_AUDIT, *extra], f"{key} must be", tmp_path, capsys, train_calls)
+
+
+    @pytest.mark.parametrize(
+        "sub, flags, env, config, name",
+        [
+            ("audit", ["--seed", "-1"], None, None, "--seed must be a non-negative integer"),
+            ("audit", ["--seeds", "1,-1"], None, None, "--seeds must be a non-negative integer"),
+            ("mitigate", [], "-1", None, "$BIASLENS_SEED must be a non-negative integer"),
+            ("recalibrate", [], None, {"seed": -1}, ": seed must be a non-negative integer"),
+            ("audit", ["--seed", "-2"], "3", {"seed": 4}, "--seed must be a non-negative integer"),
+        ],
+    )
+    def test_negative_seed_names_its_source(
+        self, tmp_path, capsys, train_calls, monkeypatch, sub, flags, env, config, name
+    ):
+        """numpy takes no negative seed; it used to fail after config.json was
+        written (audit), after the seed-1 run (--seeds) or the whole load."""
+        if env is not None:
+            monkeypatch.setenv("BIASLENS_SEED", env)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            flags = [*flags, "--config", str(cfg)]
+        self._rejects([sub, *FAST_AUDIT, *flags], name, tmp_path, capsys, train_calls)
+
+    def test_negative_seed_is_rejected_before_the_manifest_loads(self, tmp_path, capsys, train_calls, monkeypatch):
+        def spy(path):
+            raise AssertionError("manifest loaded")
+
+        monkeypatch.setattr("biaslens.cli.load_manifest", spy)
+        argv = ["resample", "--manifest", str(tmp_path / "m.jsonl"), "--seed", "-1"]
+        self._rejects(argv, "--seed must be a non-negative integer", tmp_path, capsys, train_calls)
 
 
 class TestMalformedInputExitsOne:
@@ -679,6 +712,25 @@ class TestResample:
         assert f"class {cls!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "records, argv, message",
+        [
+            (1, ["--mode", "Undersample", "--target", "disk=0"], "Undersample targets disk=0 leave no record"),
+            (0, ["--mode", "Combined"], "holds no record to resample"),
+            (0, ["--mode", "Oversample"], "holds no record to resample"),
+        ],
+    )
+    def test_a_plan_that_empties_the_manifest_writes_nothing(self, tmp_path, capsys, records, argv, message):
+        """It used to write config.json, plan.json and a header-only
+        resampled.jsonl, then fail on the empty distribution."""
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text("".join(json.dumps(make_record(sample_id=f"s{i}").to_json_dict()) + "\n" for i in range(records)))
+        out = tmp_path / "out"
+        code = main(["resample", "--manifest", str(manifest_path), *argv, "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_target(self, dataset_dir, tmp_path, capsys):
         manifest_path, _ = dataset_dir
         code = main([
@@ -687,6 +739,62 @@ class TestResample:
         ])
         assert code == 1
         assert "CLASS=COUNT" in capsys.readouterr().err
+
+
+def _pinned_manifest_lines() -> list[str]:
+    """2,000 records of five long-tailed classes (1000/600/200/133/67), one
+    of them non-ASCII, with escaped ids on every 11th and image_ref on every
+    3rd record, and coordinates whose reprs run to 17 digits."""
+    classes = ("car", "pedestrian", "truck", "v\u00e9lo", "motorcycle")
+    conditions = ("Normal", "Night", "Weather", "Rotated", "Mixed")
+    lines = [json.dumps({"taxonomy": ["bus"], "seed": 11})]
+    for i in range(2000):
+        d = i % 10
+        k = 0 if d < 5 else 1 if d < 8 else 2 if d == 8 else 3 if i % 30 == 9 else 4
+        x1, y1 = (i * 37 % 1000) / 7, (i * 53 % 800) / 3
+        record = {
+            "sample_id": f"s{i:04d}" + ("-\u00f1\u2603\t" if i % 11 == 0 else ""),
+            "class_label": classes[k],
+            "bbox": [x1, y1, x1 + 10 + (i % 13) * 1.25, y1 + 5.5 + i % 7],
+            "condition": conditions[i % 5],
+            "image_size": [1600, 900],
+        }
+        if i % 3 == 0:
+            record["image_ref"] = f"img/{i:04d}.pgm"
+        lines.append(json.dumps(record))
+    return lines
+
+
+# sha256 of each output of `resample --seed 5`, from the per-class grouping
+# that ran three times per Combined resample and the dict-and-encode writer.
+PINNED_RESAMPLE = {
+    "Oversample": {
+        "resampled.jsonl": "5b4f42cd520f66943ed77c95bc19de5cd79ea5e1e429a27be231f6bf96f7e6e1",
+        "plan.json": "4395704628030daae5eb594d287d275c55eace19ce3f23bc29627517e56666f4",
+        "distribution.json": "a8908d4f4b97d015043f37d6e0533c0b8e035c0aa59fac1093f47ca2e4f2ef80",
+    },
+    "Undersample": {
+        "resampled.jsonl": "6fcd88126307e1c4dcb8a0d5da66325d2bdbefa67986f0c50feb6b04f75f9d50",
+        "plan.json": "8e6297c13130b742e84beaccd61e15ee37ed7f1d1141293d8eb018c85e920691",
+        "distribution.json": "fa17e2cccacd8fe34a7c372860b5384c8daf5ab2e91760827a5cd44b64ec387d",
+    },
+    "Combined": {
+        "resampled.jsonl": "f45d8c0ea9f239b561110ef493998f50ed753133e59f74ce32dfac870347f619",
+        "plan.json": "b93d760886c33ff683006a8b759f86b98329a128162c0b29e19b413ad837a393",
+        "distribution.json": "84b1a4ec8361b4f5420caf8b4856b20e52b00a5326ce87a9f025b9cc11fbfb06",
+    },
+}
+
+
+class TestPinnedResample:
+    @pytest.mark.parametrize("mode", sorted(PINNED_RESAMPLE))
+    def test_outputs_keep_their_bytes(self, tmp_path, mode):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n".join(_pinned_manifest_lines()) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["resample", "--manifest", str(manifest), "--mode", mode, "--seed", "5", "--out", str(out)]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_RESAMPLE[mode]}
+        assert got == PINNED_RESAMPLE[mode]
 
 
 class TestTrain:

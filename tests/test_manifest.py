@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,17 +147,21 @@ class TestLoadManifest:
             load_manifest(path)
 
 
+# Text with the characters JSON must escape: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral code points.
+EDGE_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=8)
+
 # Objects shaped like a record whose fields hold any JSON value.
 RECORD_LIKE = st.fixed_dictionaries(
     {},
     optional={
         key: JSON_VALUES | value
         for key, value in {
-            "sample_id": st.just("s0"),
-            "class_label": st.just("disk"),
-            "bbox": st.lists(st.floats() | st.integers() | st.text(max_size=3), max_size=5),
+            "sample_id": st.just("s0") | EDGE_TEXT,
+            "class_label": st.just("disk") | EDGE_TEXT,
+            "bbox": st.lists(st.floats() | st.integers() | st.booleans() | st.text(max_size=3), max_size=5),
             "condition": st.sampled_from([c.value for c in Condition]),
-            "image_size": st.lists(st.floats() | st.integers(), max_size=3),
+            "image_size": st.lists(st.floats() | st.integers() | st.booleans(), max_size=3),
             "image_ref": st.just("a.pgm"),
             "taxonomy": st.lists(st.text(max_size=3), max_size=3),
             "seed": st.integers() | st.floats(),
@@ -290,30 +296,90 @@ def _reference_write(manifest: DatasetManifest, path) -> None:
 
 
 def _outcome(load, path):
+    """The manifest with each record's repr, which shows its field types
+    (1 against 1.0, True against 1) where == does not; or the error."""
     try:
-        return load(path)
+        manifest = load(path)
     except ManifestError as exc:
         return str(exc)
+    return manifest, [repr(r) for r in manifest.records]
 
 
 @st.composite
 def valid_records(draw) -> AnnotationRecord:
-    """Any valid record: finite coordinates inside the frame, bbox values
-    plain floats, ints or np.float64, non-ASCII text, image_ref or none."""
-    w, h = draw(st.integers(1, 4000)), draw(st.integers(1, 4000))
-    x1, x2 = sorted(draw(st.lists(st.floats(0, w), min_size=2, max_size=2, unique=True)))
-    y1, y2 = sorted(draw(st.lists(st.floats(0, h), min_size=2, max_size=2, unique=True)))
-    kind = draw(st.sampled_from([float, int, np.float64]))
-    if kind is int and not all(v.is_integer() for v in (x1, y1, x2, y2)):
-        kind = float
-    bbox = tuple(map(kind, (x1, y1, x2, y2)))
+    """Any valid record: coordinates inside the frame, from -0.0 up to 1e308
+    in a frame wide enough, as plain floats, ints, bools (in a 1x1 frame) or
+    np.float64; an image_size of ints, floats, bools or numpy ints; ids and
+    labels with characters JSON escapes; image_ref or none."""
+    frame = draw(st.sampled_from(["any", "unit", "huge"]))
+    if frame == "unit":
+        w = h = 1
+        x1, y1 = draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))
+        x2 = y2 = 1.0
+    else:
+        w, h = (10**309, 10**309) if frame == "huge" else (draw(st.integers(1, 4000)), draw(st.integers(1, 4000)))
+        edges = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 1e308])
+
+        def coords(side):
+            top = min(side, 1e308)
+            values = st.floats(0, top) | edges.filter(lambda v: v <= top)
+            return sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+
+        (x1, x2), (y1, y2) = coords(w), coords(h)
+    coordinates = (x1, y1, x2, y2)
+    kinds = [float, np.float64, int, bool]
+    if frame == "huge":  # numpy numbers compare with so wide a frame through float, which overflows
+        kinds.remove(np.float64)
+    if not all(v.is_integer() for v in coordinates):
+        kinds.remove(int)
+    if frame != "unit":
+        kinds.remove(bool)
+    kind = draw(st.sampled_from(kinds))
+    size_kinds = [int] if frame == "huge" else [int, float, np.int64, np.int32] + [bool] * (frame == "unit")
+    size_kind = draw(st.sampled_from(size_kinds))
     return AnnotationRecord(
-        sample_id=draw(st.text(max_size=8)),
-        class_label=draw(st.text(min_size=1, max_size=8)),
-        bbox=bbox,
+        sample_id=draw(EDGE_TEXT),
+        class_label=draw(EDGE_TEXT.filter(bool)),
+        bbox=tuple(map(kind, coordinates)),
         condition=draw(st.sampled_from(Condition)),
-        image_size=(w, h),
-        image_ref=draw(st.none() | st.text(max_size=8)),
+        image_size=(size_kind(w), size_kind(h)),
+        image_ref=draw(st.none() | EDGE_TEXT),
+    )
+
+
+def _json_line(record: AnnotationRecord) -> str:
+    """json.dumps of the record, with numpy integers written as ints."""
+    return json.dumps(record.to_json_dict(), default=int)
+
+
+# A number that is not what the writer emits for its field: NaN, +-inf,
+# -0.0, 1e308, bools, ints in bbox and floats in image_size.
+EDGE_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, True, False, 0, 1, 2.5, 16.0])
+
+
+@st.composite
+def near_valid_lines(draw) -> str:
+    """A valid record's line with one bbox or image_size number replaced
+    by an edge value, or with image_ref null, an integer or any text."""
+    obj = json.loads(_json_line(draw(valid_records())))
+    key = draw(st.sampled_from(["bbox", "image_size", "image_ref"]))
+    if key == "image_ref":
+        obj["image_ref"] = draw(st.none() | st.integers() | EDGE_TEXT)
+    else:
+        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(EDGE_NUMBERS)
+    return json.dumps(obj)
+
+
+def _as_json_types(manifest: DatasetManifest) -> DatasetManifest:
+    """The manifest with numpy integers in image_size as ints, which is how
+    the encoder writes them and what the reference writer can encode."""
+    return DatasetManifest(
+        records=tuple(
+            replace(r, image_size=tuple(v if isinstance(v, (bool, int, float)) else int(v) for v in r.image_size))
+            for r in manifest.records
+        ),
+        taxonomy=manifest.taxonomy,
+        seed=manifest.seed,
     )
 
 
@@ -326,11 +392,13 @@ MANIFESTS = st.builds(
     st.integers(),
 )
 
-# Lines of a JSON-shaped manifest: blank lines, records, headers, anything.
+# Lines of a JSON-shaped manifest: blank lines, records, near-records,
+# headers, anything.
 JSON_LINES = st.lists(
     st.just("")
     | st.just("  \t")
-    | valid_records().map(lambda r: json.dumps(r.to_json_dict()))
+    | valid_records().map(_json_line)
+    | near_valid_lines()
     | (JSON_VALUES | RECORD_LIKE).map(json.dumps),
     min_size=1,
     max_size=6,
@@ -360,7 +428,7 @@ class TestReaderWriterEquivalence:
         path = tmp_path_factory.getbasetemp() / "w.jsonl"
         reference = tmp_path_factory.getbasetemp() / "w_ref.jsonl"
         write_manifest(manifest, path)
-        _reference_write(manifest, reference)
+        _reference_write(_as_json_types(manifest), reference)
         assert path.read_bytes() == reference.read_bytes()
         assert load_manifest(path) == manifest
 
@@ -378,6 +446,44 @@ class TestWriteManifest:
         record = make_record(sample_id=object())
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_manifest(DatasetManifest(records=(record,)), tmp_path / "m.jsonl")
+
+
+class TestDirectPaths:
+    """On a manifest of the plain types the writer emits, no record goes
+    through the JSON encoder or the dataclass ``__init__``."""
+
+    @pytest.fixture
+    def canonical(self, tmp_path):
+        records = tuple(
+            make_record(sample_id=f"s{i}\u00e9", bbox=(0.5 * i, 1.0, 20.25, 31.0 - i),
+                        condition=list(Condition)[i % 5], image_ref=f"img/{i}.pgm" if i % 2 else None)
+            for i in range(6)
+        )
+        return DatasetManifest(records=records, seed=3), tmp_path / "m.jsonl"
+
+    def test_writer_encodes_only_the_header(self, canonical, monkeypatch):
+        manifest, path = canonical
+        encoded = []
+        encode = json.JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode", lambda self, o: encoded.append(o) or encode(self, o))
+        write_manifest(manifest, path)
+        assert encoded == [{"taxonomy": ["disk"], "seed": 3}]
+        write_manifest(DatasetManifest(records=(make_record(image_size=(np.int64(32), 32)),)), path)
+        assert len(encoded) == 3  # a numpy int takes the encoder
+
+    def test_reader_never_runs_the_dataclass_init(self, canonical, monkeypatch, tmp_path):
+        manifest, path = canonical
+        write_manifest(manifest, path)
+        int_bbox = tmp_path / "int_bbox.jsonl"
+        record = make_record()
+        int_bbox.write_text(json.dumps(dict(record.to_json_dict(), bbox=[2, 3, 10, 12])) + "\n")
+        inits = []
+        init = AnnotationRecord.__init__
+        monkeypatch.setattr(AnnotationRecord, "__init__", lambda self, *a: inits.append(a) or init(self, *a))
+        assert load_manifest(path) == manifest
+        assert inits == []
+        assert load_manifest(int_bbox).records == (record,)
+        assert len(inits) == 1  # an int coordinate takes the checked path
 
 
 class TestWriteDataset:
