@@ -51,7 +51,7 @@ from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
 from .nn.train import (
-    ArrayDataset, LossFn, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
+    LossFn, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
 )
 from .sampling import combined_rows
 from .synthetic import SyntheticData
@@ -398,27 +398,6 @@ def weighted_loss(weights: ClassWeights | None, class_order) -> LossFn | None:
     return partial(weighted_ce_from_logits, weights=weights.as_vector(class_order))
 
 
-def _train_once(
-    options: AuditOptions,
-    train_data: ArrayDataset,
-    val_data: ArrayDataset,
-    weights: ClassWeights | None = None,
-):
-    model = build_audit_model(options, len(train_data.class_order))
-    tracker = BehaviorTracker(
-        val_data,
-        balanced_probe(val_data, options.probe_per_class, seed=options.seed),
-        with_sensitivity=options.track_sensitivity,
-        sensitivity_samples=options.sensitivity_samples,
-    )
-    cfg = replace(options.train, seed=options.seed)
-    loss_fn = weighted_loss(weights, train_data.class_order)
-    snapshot, trace = train(
-        model, train_data, cfg, loss_fn=loss_fn, val_set=val_data, epoch_hook=tracker.observe
-    )
-    return model, snapshot, trace, tracker
-
-
 def _train_and_report(
     data: SyntheticData,
     options: AuditOptions,
@@ -432,7 +411,18 @@ def _train_and_report(
     """Train on ``train_d`` with the val split's probe, evaluate on the test
     split, make the report of those metrics and write the run's artifacts."""
     val_d, test_d = (data.subset(rows) for rows in splits[1:])
-    model, snapshot, trace, tracker = _train_once(options, train_d.dataset, val_d.dataset, weights)
+    model = build_audit_model(options, len(train_d.dataset.class_order))
+    tracker = BehaviorTracker(
+        val_d.dataset,
+        balanced_probe(val_d.dataset, options.probe_per_class, seed=options.seed),
+        with_sensitivity=options.track_sensitivity,
+        sensitivity_samples=options.sensitivity_samples,
+    )
+    cfg = replace(options.train, seed=options.seed)
+    loss_fn = weighted_loss(weights, train_d.dataset.class_order)
+    snapshot, trace = train(
+        model, train_d.dataset, cfg, loss_fn=loss_fn, val_set=val_d.dataset, epoch_hook=tracker.observe
+    )
     report = report_of(evaluate_side(model, test_d, options))
     run = AuditRun(data, options, report, model, snapshot, trace, tracker.scores, splits)
     if out_dir is not None:
@@ -614,16 +604,15 @@ def recalibrate(
     state: RecalibrationState, val_metrics: Mapping[str, float]
 ) -> RecalibrationState:
     """One recalibration step: adjust weights toward the recall target
-    unless the recall gap has already closed or iterations ran out."""
+    unless the recall gap has already closed (``converged``) or the
+    iteration budget is spent (not converged)."""
     for c, v in val_metrics.items():
         if not np.isfinite(v):
             raise AuditError(f"non-finite validation metric for class {c!r}: {v}")
     recalls = dict(val_metrics)
     gap = max(recalls.values()) - min(recalls.values())
-    if gap < state.epsilon_gap:
-        return replace(state, converged=True, last_metrics=recalls)
-    if state.iteration >= state.max_iterations:
-        return replace(state, converged=True, last_metrics=recalls)
+    if gap < state.epsilon_gap or state.iteration >= state.max_iterations:
+        return replace(state, converged=gap < state.epsilon_gap, last_metrics=recalls)
     target = state.target_recall if state.target_recall is not None else max(recalls.values())
     new_weights = dynamic_weight_adjust(state.weights, recalls, target, state.eta)
     return replace(
@@ -642,19 +631,19 @@ def recalibration_loop(
     recall gap closes or the iteration budget is spent. Returns the
     final state and one {iteration, gap, recalls} row per training."""
     train_d, val_d = (data.subset(rows) for rows in _split_data(data, options)[:2])
-    weights = compute_class_weights(compute_distribution(train_d.manifest))
     state = RecalibrationState(
-        weights=weights,
+        weights=compute_class_weights(compute_distribution(train_d.manifest)),
         max_iterations=options.max_recal_iterations,
         epsilon_gap=options.epsilon_gap,
         eta=options.eta,
         target_recall=options.target_recall,
     )
+    cfg = replace(options.train, seed=options.seed)
     rows: list[dict] = []
     while True:
-        _model, _snap, trace, _tracker = _train_once(
-            options, train_d.dataset, val_d.dataset, weights=state.weights
-        )
+        model = build_audit_model(options, len(train_d.dataset.class_order))
+        loss_fn = weighted_loss(state.weights, train_d.dataset.class_order)
+        _snapshot, trace = train(model, train_d.dataset, cfg, loss_fn=loss_fn, val_set=val_d.dataset)
         recalls = trace.final_recalls()
         rows.append(
             {

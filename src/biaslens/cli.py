@@ -239,7 +239,8 @@ def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
 
 
 def _audit_options(cfg: RunConfig, seed: int) -> AuditOptions:
-    values = _api_values(cfg, "audit")
+    """Options from the subcommand's audit or recalibration rows; other fields keep their defaults."""
+    values = _api_values(cfg, "recalibration" if cfg.subcommand == "recalibrate" else "audit")
     values["split"] = _parse_tuple(values["split"], "--split", float)
     if len(values["split"]) != 3:
         raise CLIError(f"--split expects three fractions, got {cfg.values['split']!r}")
@@ -465,10 +466,9 @@ def cmd_recalibrate(cfg: RunConfig) -> int:
     (cfg.out_dir / "recalibration.json").write_text(
         canonical_json(payload) + "\n", encoding="utf-8"
     )
-    last_gap = rows[-1]["gap"] if rows else float("nan")
     print(
         f"recalibration {'converged' if state.converged else 'stopped'} after "
-        f"{state.iteration} adjustment(s); final recall gap {last_gap:.4f}"
+        f"{state.iteration} adjustment(s); final recall gap {rows[-1]['gap']:.4f}"
     )
     return 0
 
@@ -590,6 +590,13 @@ _CNN, _VIT = (inspect.signature(m).parameters for m in (TinyCNN, TinyViT))
 _TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", _AUDIT.tau_att, float)
 _KAPPA = Flag("--kappa", "augmentation volume scale", _AUDIT.kappa, float)
 _SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
+_SPLIT = Flag("--split", "train/val/test fractions, comma-separated", ",".join(map(str, _AUDIT.split)))
+_RECALIBRATION = (
+    Flag("--eta", "weight recalibration step size", _AUDIT.eta, float),
+    Flag("--target-recall", "recall target for recalibration (default: best observed)", _AUDIT.target_recall, float),
+    Flag("--max-iterations", "recalibration iteration cap", _AUDIT.max_recal_iterations, int),
+    Flag("--epsilon-gap", "recall gap declaring convergence", _AUDIT.epsilon_gap, float),
+)
 
 GROUPS: dict[str, tuple[Flag, ...]] = {
     "data source": (
@@ -619,21 +626,19 @@ GROUPS: dict[str, tuple[Flag, ...]] = {
         Flag("--box-loss-weight", "box regression loss scale", _TRAIN.box_loss_weight, float),
     ),
     "audit": (
-        Flag("--split", "train/val/test fractions, comma-separated", ",".join(map(str, _AUDIT.split))),
+        _SPLIT,
         Flag("--iou-threshold", "detection match IoU threshold", _AUDIT.iou_threshold, float),
         Flag("--probe-per-class", "probe samples per class for behavior scores", _AUDIT.probe_per_class, int),
         Flag("--sensitivity-samples", "samples per class for gradient sensitivity", _AUDIT.sensitivity_samples, int),
         _TAU_ATT,
         _KAPPA,
         Flag("--tau-rel", "in-box relevance threshold for duplication", _AUDIT.tau_rel, float),
-        Flag("--eta", "weight recalibration step size", _AUDIT.eta, float),
-        Flag("--target-recall", "recall target for recalibration (default: best observed)", _AUDIT.target_recall, float),
-        Flag("--max-iterations", "recalibration iteration cap", _AUDIT.max_recal_iterations, int),
-        Flag("--epsilon-gap", "recall gap declaring convergence", _AUDIT.epsilon_gap, float),
+        *_RECALIBRATION,
         Flag("--fn-threshold", "FN-rate delta for an 'improved' verdict", _AUDIT.fn_delta_threshold, float),
         Flag("--ap-threshold", "AP delta for an 'improved' verdict", _AUDIT.ap_delta_threshold, float),
         Flag("--track-sensitivity", "also track gradient sensitivity per epoch", _AUDIT.track_sensitivity, action="store_true"),
     ),
+    "recalibration": (_SPLIT, *_RECALIBRATION),
 }
 
 
@@ -712,7 +717,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
     "recalibrate": Subcommand(
         "iterative class-weight recalibration",
         "Retrain with dynamically adjusted class weights until the recall gap closes.",
-        ("data source", "model", "training", "audit", *COMMON),
+        ("data source", "model", "training", "recalibration", *COMMON),
         cmd_recalibrate,
     ),
     "report": Subcommand(

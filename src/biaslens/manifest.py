@@ -97,11 +97,16 @@ class AnnotationRecord:
             raise ManifestError(
                 f"record {self.sample_id!r}: degenerate bbox {self.bbox}"
             )
-        if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
+        try:
+            if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
+                raise ManifestError(
+                    f"record {self.sample_id!r}: bbox {self.bbox} outside "
+                    f"image frame {w}x{h}"
+                )
+        except OverflowError:  # a numpy coordinate meets an int frame beyond float range
             raise ManifestError(
-                f"record {self.sample_id!r}: bbox {self.bbox} outside "
-                f"image frame {w}x{h}"
-            )
+                f"record {self.sample_id!r}: image_size beyond float range for bbox {self.bbox}"
+            ) from None
 
     def to_json_dict(self) -> dict:
         out = {

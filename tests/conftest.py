@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import strategies as st
 
+import biaslens.audit as audit_mod
+import biaslens.behavior as behavior_mod
 from biaslens.manifest import AnnotationRecord, Condition, DatasetManifest
 from biaslens.nn.train import INFERENCE_CHUNK
 
@@ -77,6 +80,31 @@ def make_manifest(class_counts: dict[str, int], **record_kwargs) -> DatasetManif
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def call_counts(monkeypatch) -> Counter:
+    """Counts of the calls to ``train`` through ``biaslens.audit``, to
+    ``BehaviorTracker.observe`` and to ``sensitivity_scores``; each call
+    still runs."""
+    counts: Counter = Counter()
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(audit_mod, "train", counted("train", audit_mod.train))
+    monkeypatch.setattr(
+        behavior_mod.BehaviorTracker, "observe", counted("observe", behavior_mod.BehaviorTracker.observe)
+    )
+    for module in (behavior_mod, audit_mod):
+        monkeypatch.setattr(
+            module, "sensitivity_scores", counted("sensitivity_scores", behavior_mod.sensitivity_scores)
+        )
+    return counts
 
 
 class ForwardRecorder:

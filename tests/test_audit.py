@@ -604,11 +604,13 @@ class TestRecalibrate:
         assert out.history == state.history
         assert out.iteration == 0
 
-    def test_zero_budget_converges_immediately(self):
+    def test_zero_budget_stops_without_converging(self):
         state = RecalibrationState(weights=self._weights(), max_iterations=0, epsilon_gap=0.05)
         out = recalibrate(state, {"a": 0.2, "b": 0.9})
-        assert out.converged
+        assert not out.converged
         assert out.weights is state.weights
+        assert out.iteration == 0
+        assert out.last_metrics == {"a": 0.2, "b": 0.9}
 
     def test_non_finite_metric_rejected(self):
         state = RecalibrationState(weights=self._weights())
@@ -665,6 +667,62 @@ class TestRecalibrationLoop:
         assert not state.converged
         assert len(rows) == 2
         assert state.iteration == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"model_kind": "tiny_vit", "arch": dict(VIT_ARCH),
+             "train": TrainConfig(learning_rate=2e-3, batch_size=16, epochs=2, dropout=0.1)},
+        ],
+        ids=["tiny_cnn", "tiny_vit-dropout"],
+    )
+    def test_trains_through_train_alone_with_the_tracked_loops_rows(self, call_counts, overrides):
+        """One ``train`` call per row and no behavior probe; the rows and
+        state equal those of a loop whose trainings all track behavior."""
+        data = small_data(n=90, shares=(0.6, 0.2, 0.2))
+        options = small_options(epsilon_gap=0.0, max_recal_iterations=2, **overrides)
+        state, rows = recalibration_loop(data, options)
+        assert dict(call_counts) == {"train": len(rows)}
+        assert _tracked_recalibration_loop(data, options) == (state, rows)
+        assert call_counts["observe"] and call_counts["sensitivity_scores"]  # the spies see a tracker
+
+
+def _tracked_recalibration_loop(data, options):
+    """The reference loop: every training has a ``BehaviorTracker`` epoch
+    hook with gradient sensitivity on, whose scores nothing reads."""
+    train_d, val_d = (data.subset(rows) for rows in audit_mod._split_data(data, options)[:2])
+    state = RecalibrationState(
+        weights=compute_class_weights(compute_distribution(train_d.manifest)),
+        max_iterations=options.max_recal_iterations,
+        epsilon_gap=options.epsilon_gap,
+        eta=options.eta,
+        target_recall=options.target_recall,
+    )
+    class_order = train_d.dataset.class_order
+    rows = []
+    while True:
+        model = audit_mod.build_audit_model(options, len(class_order))
+        tracker = behavior_mod.BehaviorTracker(
+            val_d.dataset,
+            behavior_mod.balanced_probe(val_d.dataset, options.probe_per_class, seed=options.seed),
+            with_sensitivity=True,
+            sensitivity_samples=options.sensitivity_samples,
+        )
+        _snapshot, trace = audit_mod.train(
+            model,
+            train_d.dataset,
+            replace(options.train, seed=options.seed),
+            loss_fn=audit_mod.weighted_loss(state.weights, class_order),
+            val_set=val_d.dataset,
+            epoch_hook=tracker.observe,
+        )
+        recalls = trace.final_recalls()
+        rows.append({"iteration": state.iteration, "gap": max(recalls.values()) - min(recalls.values()),
+                     "recalls": recalls})
+        state = recalibrate(state, recalls)
+        if state.converged or state.iteration >= state.max_iterations:
+            return state, rows
 
 
 class TestAuditOptions:

@@ -39,13 +39,12 @@ from biaslens.synthetic import (
 
 from conftest import JSON_VALUES, make_record
 
-FAST_TRAIN = [
-    "--channels", "4,6", "--epochs", "2", "--batch-size", "16",
-    "--probe-per-class", "8", "--sensitivity-samples", "4",
-]
-FAST_AUDIT = [
-    "--synthetic", "balanced", "--n-samples", "60", "--image-size", "16", *FAST_TRAIN,
-]
+FAST_FIT = ["--channels", "4,6", "--epochs", "2", "--batch-size", "16"]
+FAST_TRAIN = [*FAST_FIT, "--probe-per-class", "8", "--sensitivity-samples", "4"]
+FAST_SYNTHETIC = ["--synthetic", "balanced", "--n-samples", "60", "--image-size", "16"]
+FAST_AUDIT = [*FAST_SYNTHETIC, *FAST_TRAIN]
+# recalibrate has no behavior-probe rows
+FAST_RECALIBRATE = [*FAST_SYNTHETIC, *FAST_FIT]
 FAST_VIT = [
     "--synthetic", "balanced", "--n-samples", "24", "--image-size", "16",
     "--model", "tiny_vit", "--patch", "4", "--dim", "8",
@@ -133,11 +132,29 @@ class TestExitCodes:
         assert "(default: 10)" in out  # epochs
         assert "(default: 0.001)" in out  # learning rate
 
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+    def test_every_subcommand_help_exits_zero(self, capsys, sub):
+        """A flag table that fails to build for one subcommand fails its --help."""
+        assert main([sub, "--help"]) == 0
+        assert f"usage: biaslens {sub} " in capsys.readouterr().out
+
     def test_non_integer_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BIASLENS_SEED", "three")
         code = main(["audit", *FAST_AUDIT, "--out", str(tmp_path)])
         assert code == 1
         assert "must be an integer" in capsys.readouterr().err
+
+
+# audit rows that recalibrate does not take, with a valid value for each
+NEVER_READ_BY_RECALIBRATE = [
+    ("iou_threshold", 0.5), ("probe_per_class", 8), ("sensitivity_samples", 4), ("tau_att", 0.3),
+    ("kappa", 1.0), ("tau_rel", 0.5), ("fn_threshold", -0.02), ("ap_threshold", 0.01),
+    ("track_sensitivity", True),
+]
+
+
+def _fast(sub: str) -> list[str]:
+    return FAST_RECALIBRATE if sub == "recalibrate" else FAST_AUDIT
 
 
 def _real_flags(group: str) -> list[str]:
@@ -243,7 +260,7 @@ class TestRejectedRequest:
         ],
     )
     def test_out_of_range_audit_option(self, tmp_path, capsys, train_calls, sub, flag, value, key):
-        self._rejects([sub, *FAST_AUDIT, f"{flag}={value}"], f"{key} must be", tmp_path, capsys, train_calls)
+        self._rejects([sub, *_fast(sub), f"{flag}={value}"], f"{key} must be", tmp_path, capsys, train_calls)
 
     @pytest.mark.parametrize("key, value", [("target_recall", -3), ("epsilon_gap", -1)])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -256,8 +273,21 @@ class TestRejectedRequest:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: value}), encoding="utf-8")
             extra = ["--config", str(cfg)]
-        self._rejects(["recalibrate", *FAST_AUDIT, *extra], f"{key} must be", tmp_path, capsys, train_calls)
+        self._rejects(["recalibrate", *FAST_RECALIBRATE, *extra], f"{key} must be", tmp_path, capsys, train_calls)
 
+    @pytest.mark.parametrize("key, value", NEVER_READ_BY_RECALIBRATE)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_recalibrate_rejects_an_audit_row_it_never_reads(
+        self, tmp_path, capsys, train_calls, key, value, source
+    ):
+        flag = f"--{key.replace('_', '-')}"
+        if source == "flag":
+            extra, name = ([flag] if value is True else [f"{flag}={value}"]), flag
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            extra, name = ["--config", str(cfg)], key
+        self._rejects(["recalibrate", *FAST_RECALIBRATE, *extra], name, tmp_path, capsys, train_calls)
 
     @pytest.mark.parametrize(
         "sub, flags, env, config, name",
@@ -280,7 +310,7 @@ class TestRejectedRequest:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config), encoding="utf-8")
             flags = [*flags, "--config", str(cfg)]
-        self._rejects([sub, *FAST_AUDIT, *flags], name, tmp_path, capsys, train_calls)
+        self._rejects([sub, *_fast(sub), *flags], name, tmp_path, capsys, train_calls)
 
     def test_negative_seed_is_rejected_before_the_manifest_loads(self, tmp_path, capsys, train_calls, monkeypatch):
         def spy(path):
@@ -1071,7 +1101,7 @@ class TestRecalibrateCommand:
     def test_wide_gap_converges_immediately(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
-            "recalibrate", *FAST_AUDIT, "--epsilon-gap", "1.1", "--out", str(out),
+            "recalibrate", *FAST_RECALIBRATE, "--epsilon-gap", "1.1", "--out", str(out),
         ])
         assert code == 0
         payload = json.loads((out / "recalibration.json").read_text())
@@ -1079,6 +1109,32 @@ class TestRecalibrateCommand:
         assert payload["iterations"] == 0
         assert len(payload["rows"]) == 1
         assert "converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", [0, 2])
+    def test_spent_budget_stops_unconverged_training_once_per_row(self, tmp_path, capsys, call_counts, budget):
+        out = tmp_path / "out"
+        code = main([
+            "recalibrate", *FAST_RECALIBRATE, "--epsilon-gap", "0", "--max-iterations", str(budget),
+            "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads((out / "recalibration.json").read_text())
+        assert payload["converged"] is False
+        assert payload["iterations"] == budget
+        assert dict(call_counts) == {"train": len(payload["rows"])}
+        assert f"stopped after {budget} adjustment(s)" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("key", [key for key, _ in NEVER_READ_BY_RECALIBRATE])
+    def test_help_lists_no_audit_row_it_never_reads(self, capsys, key):
+        """audit and mitigate keep the row; recalibrate's --help does not show it."""
+        flag = f"--{key.replace('_', '-')} "
+        helps = {}
+        for sub in ("audit", "mitigate", "recalibrate"):
+            assert main([sub, "--help"]) == 0
+            helps[sub] = capsys.readouterr().out
+        assert flag in helps["audit"] and flag in helps["mitigate"]
+        assert flag not in helps["recalibrate"]
 
 
 class TestAugmentCommand:

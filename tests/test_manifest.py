@@ -43,6 +43,9 @@ class TestAnnotationRecord:
             make_record(bbox=(-1.0, 0.0, 5.0, 5.0))
         with pytest.raises(ManifestError, match="outside"):
             make_record(bbox=(0.0, 0.0, 33.0, 5.0))
+        # numpy coordinates compare with an int frame through float, which overflows
+        with pytest.raises(ManifestError, match="record 's0': image_size beyond float range"):
+            make_record(bbox=tuple(map(np.float64, (0, 0, 1, 1))), image_size=(10**309, 10**309))
 
     def test_unknown_condition_rejected(self):
         payload = make_record().to_json_dict()
@@ -328,7 +331,7 @@ def valid_records(draw) -> AnnotationRecord:
         (x1, x2), (y1, y2) = coords(w), coords(h)
     coordinates = (x1, y1, x2, y2)
     kinds = [float, np.float64, int, bool]
-    if frame == "huge":  # numpy numbers compare with so wide a frame through float, which overflows
+    if frame == "huge":  # numpy numbers compare with so wide a frame through float: a ManifestError
         kinds.remove(np.float64)
     if not all(v.is_integer() for v in coordinates):
         kinds.remove(int)
