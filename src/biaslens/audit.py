@@ -51,7 +51,7 @@ from .manifest import DatasetManifest, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
 from .nn.train import (
-    LossFn, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
+    ArrayDataset, MetricTrace, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
 )
 from .sampling import combined_rows
 from .synthetic import SyntheticData
@@ -390,12 +390,27 @@ def build_audit_model(options: AuditOptions, n_classes: int):
     return build_model(arch, seed=options.seed)
 
 
-def weighted_loss(weights: ClassWeights | None, class_order) -> LossFn | None:
-    """Cross-entropy weighted per class in ``class_order``; None (``train``'s
-    unweighted default) without weights."""
-    if weights is None:
-        return None
-    return partial(weighted_ce_from_logits, weights=weights.as_vector(class_order))
+def fit(
+    options: AuditOptions,
+    train_set: ArrayDataset,
+    weights: ClassWeights | None = None,
+    val_set: ArrayDataset | None = None,
+    epoch_hook: Callable | None = None,
+) -> tuple[object, ModelSnapshot, MetricTrace]:
+    """The options' model trained on ``train_set`` with the options' seed,
+    by cross-entropy weighted per class by ``weights`` when given, else
+    unweighted. ``val_set`` and ``epoch_hook`` are ``train``'s. Returns the
+    model, its snapshot and the metric trace."""
+    class_order = train_set.class_order
+    model = build_audit_model(options, len(class_order))
+    loss_fn = None
+    if weights is not None:
+        loss_fn = partial(weighted_ce_from_logits, weights=weights.as_vector(class_order))
+    snapshot, trace = train(
+        model, train_set, replace(options.train, seed=options.seed),
+        loss_fn=loss_fn, val_set=val_set, epoch_hook=epoch_hook,
+    )
+    return model, snapshot, trace
 
 
 def _train_and_report(
@@ -411,18 +426,13 @@ def _train_and_report(
     """Train on ``train_d`` with the val split's probe, evaluate on the test
     split, make the report of those metrics and write the run's artifacts."""
     val_d, test_d = (data.subset(rows) for rows in splits[1:])
-    model = build_audit_model(options, len(train_d.dataset.class_order))
     tracker = BehaviorTracker(
         val_d.dataset,
         balanced_probe(val_d.dataset, options.probe_per_class, seed=options.seed),
         with_sensitivity=options.track_sensitivity,
         sensitivity_samples=options.sensitivity_samples,
     )
-    cfg = replace(options.train, seed=options.seed)
-    loss_fn = weighted_loss(weights, train_d.dataset.class_order)
-    snapshot, trace = train(
-        model, train_d.dataset, cfg, loss_fn=loss_fn, val_set=val_d.dataset, epoch_hook=tracker.observe
-    )
+    model, snapshot, trace = fit(options, train_d.dataset, weights, val_d.dataset, tracker.observe)
     report = report_of(evaluate_side(model, test_d, options))
     run = AuditRun(data, options, report, model, snapshot, trace, tracker.scores, splits)
     if out_dir is not None:
@@ -577,84 +587,30 @@ def run_mitigation(
 # recalibration
 
 
-@dataclass(frozen=True)
-class RecalibrationState:
-    """Weight-adjustment loop state; the weight history is append-only."""
-
-    weights: ClassWeights
-    iteration: int = 0
-    max_iterations: int = 10
-    epsilon_gap: float = 0.05
-    eta: float = 0.5
-    target_recall: float | None = None
-    history: tuple[ClassWeights, ...] = ()
-    last_metrics: dict | None = None
-    converged: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.history:
-            object.__setattr__(self, "history", (self.weights,))
-        if self.iteration > self.max_iterations:
-            raise AuditError(
-                f"iteration {self.iteration} exceeds max {self.max_iterations}"
-            )
-
-
-def recalibrate(
-    state: RecalibrationState, val_metrics: Mapping[str, float]
-) -> RecalibrationState:
-    """One recalibration step: adjust weights toward the recall target
-    unless the recall gap has already closed (``converged``) or the
-    iteration budget is spent (not converged)."""
-    for c, v in val_metrics.items():
-        if not np.isfinite(v):
-            raise AuditError(f"non-finite validation metric for class {c!r}: {v}")
-    recalls = dict(val_metrics)
-    gap = max(recalls.values()) - min(recalls.values())
-    if gap < state.epsilon_gap or state.iteration >= state.max_iterations:
-        return replace(state, converged=gap < state.epsilon_gap, last_metrics=recalls)
-    target = state.target_recall if state.target_recall is not None else max(recalls.values())
-    new_weights = dynamic_weight_adjust(state.weights, recalls, target, state.eta)
-    return replace(
-        state,
-        weights=new_weights,
-        iteration=state.iteration + 1,
-        history=state.history + (new_weights,),
-        last_metrics=recalls,
-    )
-
-
 def recalibration_loop(
     data: SyntheticData, options: AuditOptions
-) -> tuple[RecalibrationState, list[dict]]:
-    """Iteratively retrain with adjusted weights until the validation
-    recall gap closes or the iteration budget is spent. Returns the
-    final state and one {iteration, gap, recalls} row per training."""
+) -> tuple[list[ClassWeights], list[dict]]:
+    """Retrain with class weights adjusted toward the recall target until
+    a training's validation recall gap is below ``epsilon_gap`` or the
+    ``max_recal_iterations``-th adjustment has been trained. Returns the
+    weight history, which starts at the training split's class weights and
+    ends at the last trained weights, and one {iteration, gap, recalls}
+    row per training: row i trained ``history[i]``."""
     train_d, val_d = (data.subset(rows) for rows in _split_data(data, options)[:2])
-    state = RecalibrationState(
-        weights=compute_class_weights(compute_distribution(train_d.manifest)),
-        max_iterations=options.max_recal_iterations,
-        epsilon_gap=options.epsilon_gap,
-        eta=options.eta,
-        target_recall=options.target_recall,
-    )
-    cfg = replace(options.train, seed=options.seed)
+    history = [compute_class_weights(compute_distribution(train_d.manifest))]
     rows: list[dict] = []
     while True:
-        model = build_audit_model(options, len(train_d.dataset.class_order))
-        loss_fn = weighted_loss(state.weights, train_d.dataset.class_order)
-        _snapshot, trace = train(model, train_d.dataset, cfg, loss_fn=loss_fn, val_set=val_d.dataset)
+        _model, _snapshot, trace = fit(options, train_d.dataset, history[-1], val_d.dataset)
         recalls = trace.final_recalls()
-        rows.append(
-            {
-                "iteration": state.iteration,
-                "gap": max(recalls.values()) - min(recalls.values()),
-                "recalls": recalls,
-            }
-        )
-        state = recalibrate(state, recalls)
-        if state.converged or state.iteration >= state.max_iterations:
-            return state, rows
+        for c, v in recalls.items():
+            if not np.isfinite(v):
+                raise AuditError(f"non-finite validation metric for class {c!r}: {v}")
+        gap = max(recalls.values()) - min(recalls.values())
+        rows.append({"iteration": len(history) - 1, "gap": gap, "recalls": recalls})
+        if gap < options.epsilon_gap or len(history) > options.max_recal_iterations:
+            return history, rows
+        target = options.target_recall if options.target_recall is not None else max(recalls.values())
+        history.append(dynamic_weight_adjust(history[-1], recalls, target, options.eta))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -25,12 +26,11 @@ from .audit import (
     BiasReport,
     Strategy,
     attention_augmentation,
-    build_audit_model,
     canonical_json,
+    fit,
     recalibration_loop,
     run_audit,
     run_mitigation,
-    weighted_loss,
 )
 from .behavior import export_heatmap, lrp_propagate
 from .detmetrics import write_metrics_csv
@@ -44,7 +44,7 @@ from .manifest import (
 )
 from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
-from .nn.train import TrainConfig, forward_pass, train
+from .nn.train import TrainConfig, forward_pass
 from .nn.optim import schedule_from_config
 from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
 from .synthetic import (
@@ -376,13 +376,10 @@ def cmd_train(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
     options = AuditOptions(train=_train_config(cfg, seed), seed=seed, **_model_options(cfg))
     data = _load_data(cfg)
-    options = _for_data(options, data)
-    model = build_audit_model(options, len(data.dataset.class_order))
     weights = None
     if cfg.values["weighted"]:
         weights = compute_class_weights(compute_distribution(data.manifest))
-    loss_fn = weighted_loss(weights, data.dataset.class_order)
-    snapshot, trace = train(model, data.dataset, options.train, loss_fn=loss_fn)
+    model, snapshot, trace = fit(_for_data(options, data), data.dataset, weights)
     cfg.write()
     out = cfg.out_dir
     snapshot.save(out / "model.snapshot")
@@ -394,11 +391,9 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _audit_one(payload: tuple) -> dict:
+def _audit_one(cfg: RunConfig, options: AuditOptions, strategy: Strategy | None) -> dict:
     """One seed's audit (and optional mitigation); picklable args so the
     multi-seed path can run under a process pool deterministically."""
-    cfg_values, subcommand, out_dir, options, strategy = payload
-    cfg = RunConfig(subcommand, Path(out_dir), cfg_values)
     data = _data_for_seed(cfg, options.seed)
     run = run_audit(data, _for_data(options, data), out_dir=cfg.out_dir)
     summary: dict = {"seed": options.seed, "run_dir": str(run.run_dir)}
@@ -425,14 +420,13 @@ def _run_seeds(cfg: RunConfig, strategy: Strategy | None) -> list[dict]:
         raise CLIError(AUGMENT_NEEDS_VIT)
     cfg.write()
     jobs = cfg.values["jobs"]
-    payloads = [(cfg.values, cfg.subcommand, str(cfg.out_dir), o, strategy) for o in options]
-    if jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(options) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_audit_one, payloads))
+            summaries = list(pool.map(partial(_audit_one, cfg, strategy=strategy), options))
     else:
-        summaries = [_audit_one(p) for p in payloads]
+        summaries = [_audit_one(cfg, o, strategy) for o in options]
     (cfg.out_dir / "summary.json").write_text(canonical_json(summaries) + "\n", encoding="utf-8")
     return summaries
 
@@ -454,21 +448,22 @@ def cmd_recalibrate(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
     options = _audit_options(cfg, seed)
     data = _data_for_seed(cfg, seed)
-    state, rows = recalibration_loop(data, _for_data(options, data))
+    history, rows = recalibration_loop(data, _for_data(options, data))
     cfg.write()
+    converged = rows[-1]["gap"] < options.epsilon_gap
     payload = {
-        "converged": state.converged,
-        "iterations": state.iteration,
-        "weights": state.weights.to_json_dict(),
-        "history": [w.to_json_dict() for w in state.history],
+        "converged": converged,
+        "iterations": len(history) - 1,
+        "weights": history[-1].to_json_dict(),
+        "history": [w.to_json_dict() for w in history],
         "rows": rows,
     }
     (cfg.out_dir / "recalibration.json").write_text(
         canonical_json(payload) + "\n", encoding="utf-8"
     )
     print(
-        f"recalibration {'converged' if state.converged else 'stopped'} after "
-        f"{state.iteration} adjustment(s); final recall gap {rows[-1]['gap']:.4f}"
+        f"recalibration {'converged' if converged else 'stopped'} after "
+        f"{len(history) - 1} adjustment(s); final recall gap {rows[-1]['gap']:.4f}"
     )
     return 0
 

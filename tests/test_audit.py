@@ -21,23 +21,20 @@ from biaslens.audit import (
     AuditError,
     AuditOptions,
     BiasReport,
-    RecalibrationState,
     Strategy,
     canonical_json,
     correlate_errors,
     decode_center_box,
     evaluate_side,
-    recalibrate,
     recalibration_loop,
     run_audit,
     run_mitigation,
 )
-from biaslens.losses import ClassWeights, compute_class_weights
+from biaslens.losses import compute_class_weights, dynamic_weight_adjust, weighted_ce_from_logits
 from biaslens.manifest import Condition, compute_distribution
 from biaslens.nn.models import TinyViT, build_model
 from biaslens.nn.optim import StepDecayLR
-from biaslens.nn.train import TrainConfig
-from biaslens.nn.train import evaluate
+from biaslens.nn.train import MetricTrace, TrainConfig, evaluate
 from biaslens.sampling import combined_rows
 from biaslens.synthetic import (
     SyntheticConfig,
@@ -587,86 +584,120 @@ class TestStrategiesCompose:
             audit_mod.attention_augmentation(baseline_run.model, baseline_run.data, 0.5, 1.0)
 
 
-class TestRecalibrate:
-    @staticmethod
-    def _weights(values=None):
-        values = values or {"a": 1.0, "b": 1.0}
-        return ClassWeights(
-            raw=dict(values), normalized=dict(values),
-            normalization_target=sum(values.values()),
-        )
+class ScriptedTrain:
+    """Stands in for ``audit.train``: the i-th call trains nothing and
+    returns a trace whose last row holds the i-th scripted recalls. It
+    keeps each call's loss function."""
 
-    def test_small_gap_converges_without_touching_weights(self):
-        state = RecalibrationState(weights=self._weights(), epsilon_gap=0.05)
-        out = recalibrate(state, {"a": 0.91, "b": 0.93})
-        assert out.converged
-        assert out.weights is state.weights
-        assert out.history == state.history
-        assert out.iteration == 0
+    def __init__(self, *recalls: dict) -> None:
+        self.recalls = recalls
+        self.losses: list = []
 
-    def test_zero_budget_stops_without_converging(self):
-        state = RecalibrationState(weights=self._weights(), max_iterations=0, epsilon_gap=0.05)
-        out = recalibrate(state, {"a": 0.2, "b": 0.9})
-        assert not out.converged
-        assert out.weights is state.weights
-        assert out.iteration == 0
-        assert out.last_metrics == {"a": 0.2, "b": 0.9}
+    def __call__(self, model, train_set, config, loss_fn=None, val_set=None, epoch_hook=None):
+        recalls = self.recalls[len(self.losses)]
+        self.losses.append(loss_fn)
+        row = {f"recall_{c}": v for c, v in recalls.items()}
+        return None, MetricTrace(class_order=train_set.class_order, rows=[row])
 
-    def test_non_finite_metric_rejected(self):
-        state = RecalibrationState(weights=self._weights())
-        with pytest.raises(AuditError, match="non-finite"):
-            recalibrate(state, {"a": float("nan"), "b": 0.5})
 
-    def test_step_appends_history_and_advances(self):
-        state = RecalibrationState(weights=self._weights(), epsilon_gap=0.05)
-        out = recalibrate(state, {"a": 0.2, "b": 0.9})
-        assert not out.converged
-        assert out.iteration == 1
-        assert len(out.history) == 2
-        assert out.history[0] is state.weights  # append-only prefix
-        assert out.weights is out.history[-1]
-        assert out.last_metrics == {"a": 0.2, "b": 0.9}
-
-    def test_lagging_class_gains_relative_weight(self):
-        state = RecalibrationState(weights=self._weights(), epsilon_gap=0.01)
-        out = recalibrate(state, {"a": 0.2, "b": 0.9})
-        assert out.weights.normalized["a"] > out.weights.normalized["b"]
-
-    def test_explicit_target_drives_direction(self):
-        state = RecalibrationState(
-            weights=self._weights(), epsilon_gap=0.01, target_recall=0.5
-        )
-        out = recalibrate(state, {"a": 0.2, "b": 0.9})
-        # b sits above the explicit target, so its raw weight must shrink
-        assert out.weights.raw["b"] < 1.0 < out.weights.raw["a"]
-
-    def test_history_seeds_itself(self):
-        state = RecalibrationState(weights=self._weights())
-        assert state.history == (state.weights,)
-
-    def test_iteration_beyond_budget_rejected(self):
-        with pytest.raises(AuditError, match="exceeds"):
-            RecalibrationState(weights=self._weights(), iteration=3, max_iterations=2)
+def _gap(recalls: dict) -> float:
+    return max(recalls.values()) - min(recalls.values())
 
 
 class TestRecalibrationLoop:
+    WIDE = {"bar": 0.2, "cross": 0.9, "disk": 0.5}
+    NARROW = {"bar": 0.91, "cross": 0.93, "disk": 0.92}
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        def install(*recalls):
+            stub = ScriptedTrain(*recalls)
+            monkeypatch.setattr(audit_mod, "train", stub)
+            return stub
+
+        return install
+
+    @staticmethod
+    def _initial_weights(data, options):
+        train_rows = audit_mod._split_data(data, options)[0]
+        return compute_class_weights(compute_distribution(data.subset(train_rows).manifest))
+
+    def test_small_gap_converges_on_the_first_row(self, scripted):
+        data, options = small_data(n=60), small_options(epsilon_gap=0.05)
+        stub = scripted(self.NARROW)
+        history, rows = recalibration_loop(data, options)
+        assert history == [self._initial_weights(data, options)]
+        assert rows == [{"iteration": 0, "gap": _gap(self.NARROW), "recalls": self.NARROW}]
+        assert len(stub.losses) == 1
+
+    def test_zero_budget_trains_once_and_adjusts_nothing(self, scripted):
+        data, options = small_data(n=60), small_options(max_recal_iterations=0)
+        stub = scripted(self.WIDE)
+        history, rows = recalibration_loop(data, options)
+        assert history == [self._initial_weights(data, options)]
+        assert rows == [{"iteration": 0, "gap": _gap(self.WIDE), "recalls": self.WIDE}]
+        assert len(stub.losses) == 1
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_spent_budget_trains_every_adjustment(self, scripted, budget):
+        data = small_data(n=60)
+        options = small_options(epsilon_gap=0.05, max_recal_iterations=budget)
+        stub = scripted(*[self.WIDE] * (budget + 1))
+        history, rows = recalibration_loop(data, options)
+        assert len(history) == budget + 1 == len(rows)
+        assert [r["iteration"] for r in rows] == list(range(budget + 1))
+        assert history[0] == self._initial_weights(data, options)
+        for before, after, row in zip(history, history[1:], rows):
+            assert after == dynamic_weight_adjust(before, row["recalls"], 0.9, options.eta)
+        # row i holds the recalls of the training with history[i]'s weights
+        rng = np.random.default_rng(0)
+        logits, labels = rng.normal(size=(6, 3)), np.eye(3)[[0, 1, 2, 0, 1, 2]]
+        order = data.dataset.class_order
+        for weights, loss_fn in zip(history, stub.losses, strict=True):
+            expected = weighted_ce_from_logits(logits, labels, weights.as_vector(order))
+            npt.assert_array_equal(loss_fn(logits, labels)[1], expected[1])
+            assert loss_fn(logits, labels)[0] == expected[0]
+
+    def test_stops_when_a_retraining_closes_the_gap(self, scripted):
+        stub = scripted(self.WIDE, self.NARROW)
+        history, rows = recalibration_loop(small_data(n=60), small_options(max_recal_iterations=5))
+        assert len(history) == len(rows) == len(stub.losses) == 2
+        assert rows[-1]["gap"] < 0.05
+
+    @pytest.mark.parametrize(
+        "target, shrinks", [(None, set()), (0.5, {"cross"}), (0.1, {"bar", "cross", "disk"})]
+    )
+    def test_target_recall_decides_which_way_weights_move(self, scripted, target, shrinks):
+        """The adjustment scales each class's weight up below the target
+        and down above it; without a target the best recall is the
+        target, so no class loses weight."""
+        scripted(self.WIDE, self.WIDE)
+        options = small_options(max_recal_iterations=1, target_recall=target)
+        before, after = recalibration_loop(small_data(n=60), options)[0]
+        assert {c for c in after.raw if after.raw[c] < before.normalized[c]} == shrinks
+        grows = {c for c, v in self.WIDE.items() if v < (0.9 if target is None else target)}
+        assert {c for c in after.raw if after.raw[c] > before.normalized[c]} == grows
+
+    def test_non_finite_recall_rejected(self, scripted):
+        scripted({"bar": float("nan"), "cross": 0.5, "disk": 0.5})
+        with pytest.raises(AuditError, match="non-finite validation metric for class 'bar'"):
+            recalibration_loop(small_data(n=60), small_options())
+
     def test_wide_epsilon_converges_on_first_pass(self):
-        state, rows = recalibration_loop(
-            small_data(n=60), small_options(epsilon_gap=1.1)
-        )
-        assert state.converged
-        assert len(rows) == 1
+        history, rows = recalibration_loop(small_data(n=60), small_options(epsilon_gap=1.1))
+        assert len(history) == len(rows) == 1
         assert rows[0]["iteration"] == 0
         assert set(rows[0]["recalls"]) == {"bar", "cross", "disk"}
 
     def test_budget_stop_reports_not_converged(self):
-        state, rows = recalibration_loop(
+        """Every adjustment is trained: the budget of 2 makes 3 rows, and
+        the last row's gap stays above the unreachable epsilon of 0."""
+        history, rows = recalibration_loop(
             small_data(n=60),
             small_options(epsilon_gap=0.0, max_recal_iterations=2),
         )
-        assert not state.converged
-        assert len(rows) == 2
-        assert state.iteration == 2
+        assert len(history) == len(rows) == 3
+        assert not rows[-1]["gap"] < 0.0
 
     @pytest.mark.parametrize(
         "overrides",
@@ -678,27 +709,23 @@ class TestRecalibrationLoop:
         ids=["tiny_cnn", "tiny_vit-dropout"],
     )
     def test_trains_through_train_alone_with_the_tracked_loops_rows(self, call_counts, overrides):
-        """One ``train`` call per row and no behavior probe; the rows and
-        state equal those of a loop whose trainings all track behavior."""
+        """One ``train`` call per row and no behavior probe; the history
+        and rows equal those of a loop whose trainings all track behavior."""
         data = small_data(n=90, shares=(0.6, 0.2, 0.2))
         options = small_options(epsilon_gap=0.0, max_recal_iterations=2, **overrides)
-        state, rows = recalibration_loop(data, options)
+        history, rows = recalibration_loop(data, options)
         assert dict(call_counts) == {"train": len(rows)}
-        assert _tracked_recalibration_loop(data, options) == (state, rows)
+        assert _tracked_recalibration_loop(data, options) == (history, rows)
         assert call_counts["observe"] and call_counts["sensitivity_scores"]  # the spies see a tracker
 
 
 def _tracked_recalibration_loop(data, options):
     """The reference loop: every training has a ``BehaviorTracker`` epoch
-    hook with gradient sensitivity on, whose scores nothing reads."""
+    hook with gradient sensitivity on, whose scores nothing reads. It
+    trains each weight map it makes, and stops after a training once the
+    gap is below epsilon or the budget's adjustments are all made."""
     train_d, val_d = (data.subset(rows) for rows in audit_mod._split_data(data, options)[:2])
-    state = RecalibrationState(
-        weights=compute_class_weights(compute_distribution(train_d.manifest)),
-        max_iterations=options.max_recal_iterations,
-        epsilon_gap=options.epsilon_gap,
-        eta=options.eta,
-        target_recall=options.target_recall,
-    )
+    history = [compute_class_weights(compute_distribution(train_d.manifest))]
     class_order = train_d.dataset.class_order
     rows = []
     while True:
@@ -709,20 +736,21 @@ def _tracked_recalibration_loop(data, options):
             with_sensitivity=True,
             sensitivity_samples=options.sensitivity_samples,
         )
+        weights = history[-1].as_vector(class_order)
         _snapshot, trace = audit_mod.train(
             model,
             train_d.dataset,
             replace(options.train, seed=options.seed),
-            loss_fn=audit_mod.weighted_loss(state.weights, class_order),
+            loss_fn=lambda logits, labels: weighted_ce_from_logits(logits, labels, weights),
             val_set=val_d.dataset,
             epoch_hook=tracker.observe,
         )
         recalls = trace.final_recalls()
-        rows.append({"iteration": state.iteration, "gap": max(recalls.values()) - min(recalls.values()),
-                     "recalls": recalls})
-        state = recalibrate(state, recalls)
-        if state.converged or state.iteration >= state.max_iterations:
-            return state, rows
+        rows.append({"iteration": len(rows), "gap": _gap(recalls), "recalls": recalls})
+        if rows[-1]["gap"] < options.epsilon_gap or len(rows) > options.max_recal_iterations:
+            return history, rows
+        target = options.target_recall if options.target_recall is not None else max(recalls.values())
+        history.append(dynamic_weight_adjust(history[-1], recalls, target, options.eta))
 
 
 class TestAuditOptions:

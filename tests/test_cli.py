@@ -21,10 +21,12 @@ from biaslens.audit import (
     attention_augmentation,
     build_audit_model,
     canonical_json,
+    fit,
     run_audit,
 )
+from biaslens.losses import compute_class_weights
 from biaslens.cli import _API_NAMES, GROUPS, SUBCOMMANDS, CLIError, build_parser, main, resolve_config
-from biaslens.manifest import load_manifest, write_manifest
+from biaslens.manifest import compute_distribution, load_manifest, write_manifest
 from biaslens.behavior import export_heatmap, lrp_propagate
 from biaslens.nn.models import TinyViT
 from biaslens.nn.snapshot import MAGIC, load_snapshot, model_from_snapshot
@@ -176,7 +178,6 @@ class TestRejectedRequest:
             calls.append(args)
             raise AssertionError("train called")
 
-        monkeypatch.setattr("biaslens.cli.train", spy)
         monkeypatch.setattr("biaslens.audit.train", spy)
         return calls
 
@@ -961,6 +962,37 @@ class TestCliApiParity:
         for name in ("report.json", "trace.csv", "behavior.csv", "model.snapshot"):
             assert (run.run_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "model, flags, arch",
+        [
+            ("tiny_cnn", ["--channels", "4,6"], {"input_hw": (16, 16), "channels": (4, 6), "kernel": 3}),
+            (
+                "tiny_vit", ["--patch", "4", "--dim", "8", "--heads", "2", "--layers", "1"],
+                {"input_hw": (16, 16), "patch": 4, "dim": 8, "n_heads": 2, "n_layers": 1, "mlp_ratio": 2.0},
+            ),
+        ],
+        ids=["tiny_cnn", "tiny_vit"],
+    )
+    def test_train_through_main_equals_fit(self, tmp_path, model, flags, arch, weighted):
+        cli_out = tmp_path / "cli"
+        args = [
+            "train", "--synthetic", "imbalanced-80-10-10", "--n-samples", "30", "--image-size", "16",
+            "--model", model, *flags, "--epochs", "2", "--batch-size", "8", "--seed", "5",
+            *(["--weighted"] if weighted else []), "--out", str(cli_out),
+        ]
+        assert main(args) == 0
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=30, shares=(0.8, 0.1, 0.1), image_hw=(16, 16), seed=5)
+        )
+        weights = compute_class_weights(compute_distribution(data.manifest)) if weighted else None
+        options = AuditOptions(model_kind=model, train=TrainConfig(batch_size=8, epochs=2), seed=5, arch=arch)
+        _model, snapshot, trace = fit(options, data.dataset, weights)
+        snapshot.save(tmp_path / "model.snapshot")
+        trace.write_csv(tmp_path / "trace.csv")
+        for name in ("model.snapshot", "trace.csv"):
+            assert (tmp_path / name).read_bytes() == (cli_out / name).read_bytes(), name
+
 
 # A report that renders, and every path to a value in it.
 RENDERABLE_REPORT = {
@@ -1121,6 +1153,7 @@ class TestRecalibrateCommand:
         payload = json.loads((out / "recalibration.json").read_text())
         assert payload["converged"] is False
         assert payload["iterations"] == budget
+        assert len(payload["rows"]) == budget + 1 == len(payload["history"])
         assert dict(call_counts) == {"train": len(payload["rows"])}
         assert f"stopped after {budget} adjustment(s)" in capsys.readouterr().out
 

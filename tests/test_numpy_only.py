@@ -1,6 +1,7 @@
 """The import paths: the dataset tools, the CLI and TinyCNN runs never load
 scipy (only TinyViT's GELU does, for ``erf``); the dataset tools load no
-training stack; and the README's API example imports what it names."""
+training stack; the README's API example imports what it names; and only
+``audit`` calls the training loop."""
 
 from __future__ import annotations
 
@@ -94,6 +95,34 @@ model.forward(np.zeros((1, 1, 8, 8)))
             if alias.name.startswith("_")
         ]
         assert found == []
+
+    def test_only_audit_calls_the_training_loop(self):
+        """``audit.fit`` is the one trainer: no other module calls ``nn.train.train``."""
+        package = Path(biaslens.__file__).resolve().parent
+        callers = set()
+        for path in sorted(package.rglob("*.py")):
+            here = ("biaslens", *path.relative_to(package).parts[:-1])
+            names, modules = set(), set()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = here[: len(here) - node.level + 1] if node.level else ()
+                    source = ".".join((*base, *(node.module or "").split("."))).strip(".")
+                    for alias in node.names:
+                        if f"{source}.{alias.name}" == "biaslens.nn.train":
+                            modules.add(alias.asname or alias.name)
+                        elif source == "biaslens.nn.train" and alias.name == "train":
+                            names.add(alias.asname or alias.name)
+                elif isinstance(node, ast.Import):
+                    modules.update(a.asname for a in node.names if a.name == "biaslens.nn.train" and a.asname)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id in names)
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "train"
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules)
+                ):
+                    callers.add(path.relative_to(package).as_posix())
+        assert callers == {"audit.py"}
 
 
 class TestBoxBlur:
