@@ -49,27 +49,21 @@ def sensitivity_scores(model, images: np.ndarray, tap: str) -> np.ndarray:
     input pixel|.
 
     The probed activation is the unit's spatial (or patch) mean. One
-    forward fills the layer caches; every unit's backward reads them, and
-    the caches are released at the end. A dead unit scores 0; one warning
-    per call lists the dead units. When the model's taps are rectified, a
-    unit that reads 0 on every sample scores 0 without a backward.
+    forward fills the layer caches, and ``model.unit_input_grads`` yields
+    every live unit's input gradient from them: TinyCNN by an exact
+    one-channel kernel, TinyViT by one ``backward_from_tap`` per unit. The
+    caches are released at the end. A dead unit scores 0; one warning per
+    call lists the dead units. When the model's taps are rectified, a unit
+    that reads 0 on every sample is dead without a backward.
     """
     if images.shape[0] == 0:
         raise BehaviorError("sensitivity needs a non-empty sample set")
     act = dict(model.forward(images, train=False).trunk)[tap]
     units = np.moveaxis(act, 2 if act.ndim == 3 else 1, 0)
+    # NaN counts as live.
+    live = [u for u, a in enumerate(units) if not model.rectified_taps or a.any()]
     scores = np.zeros(len(units))
-    for unit in range(len(scores)):
-        if model.rectified_taps and not units[unit].any():  # NaN counts as live
-            continue
-        seed = np.zeros_like(act)
-        if act.ndim == 4:
-            seed[:, unit] = 1.0 / (act.shape[2] * act.shape[3])
-        elif act.ndim == 3:
-            seed[:, :, unit] = 1.0 / act.shape[1]
-        else:
-            seed[:, unit] = 1.0
-        grad = model.backward_from_tap(tap, seed)
+    for unit, grad in zip(live, model.unit_input_grads(tap, live)):
         scores[unit] = np.abs(grad.reshape(grad.shape[0], -1)).mean(axis=1).mean()
     model.release()
     dead = np.flatnonzero(scores == 0.0).tolist()

@@ -259,7 +259,8 @@ class Conv2D(Layer):
         cols = self._im2col(xp, oh, ow)
         self._cols, self._x_shape, self._out_hw = cols, x.shape, (oh, ow)
         w_col = self.params["W"].reshape(self.out_channels, -1)
-        out = w_col @ cols + self.params["b"][None, :, None]
+        out = w_col @ cols
+        out += self.params["b"][:, None]
         return out.reshape(n, self.out_channels, oh, ow)
 
     def backward(
@@ -292,9 +293,9 @@ class MaxPool2D(Layer):
     ``x[:, :, i::size, j::size]``. In the same pass it marks, view by view
     in row-major order, where each window's first maximum sits: a bool
     "first winner" mask, one plane per view, with as many elements as
-    ``x``. Backward scatters ``dy`` through that mask one strided view at
-    a time. The mask, not ``x``, is what stays cached: it is an eighth of
-    the bytes.
+    ``x``. Backward writes each view of the input gradient as the bits of
+    ``dy`` selected by that view's mask plane. The mask, not ``x``, is
+    what stays cached: it is an eighth of the bytes.
     """
 
     _caches = ("_mask",)
@@ -332,7 +333,11 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, dy: np.ndarray, params: bool = True) -> np.ndarray:
+        # dy's bits ANDed with all ones where a window routes, 0 elsewhere:
+        # the bits of where(win, dy, 0.0), signed zeros and NaN included.
         dx = np.empty(self._in_shape)
+        bits = np.ascontiguousarray(dy, dtype=np.float64).view(np.int64)
         for win, v in zip(self._mask, self._views()):
-            dx[v] = np.where(win, dy, 0.0)
+            routes = np.negative(win.view(np.int8), dtype=np.int64)
+            np.bitwise_and(bits, routes, out=dx.view(np.int64)[v])
         return dx

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -272,6 +272,137 @@ class TinyCNN(_ModelBase):
             g = layer.backward(g, params=False)
         return g
 
+    def unit_input_grads(self, tap: str, units: Iterable[int]) -> Iterator[np.ndarray]:
+        """Yield, for each unit (channel) of ``tap`` in turn, the input
+        gradient of its spatial mean, from the caches of the last forward.
+
+        Each equals ``backward_from_tap`` of the seed that is ``1 / (h * w)``
+        on channel u and 0 elsewhere, bit for bit while the weights are
+        finite, but no work is spent on the zero channels. The seed reaches
+        the conv under the tap through channel u's ReLU mask alone, and
+        that conv's transpose is k*k multiply-adds of shifted copies of one
+        plane. Below ``conv2``, pool1's routing and relu1's mask are one
+        bitwise select, and conv1's transpose is one GEMM per pool-parity
+        plane plus flat shifted adds. Masks and buffers are built once per
+        call. No parameter gradient is computed or touched.
+        """
+        mask = self._trunk[self._tap_index[tap]]._mask  # (N, C, h, w)
+        n, _, h, w = mask.shape
+        transpose = _PlaneTranspose(self._conv1 if tap == "conv1" else self._conv2, n, h, w)
+        if tap == "conv1":
+            finish = transpose.image
+        else:
+            finish = _PooledConvTranspose(self._conv1, self._trunk[2]._mask, self._trunk[1]._mask)
+        for u in units:
+            yield finish(transpose(u, mask[:, u], 1.0 / (h * w)))
+
+
+class _PlaneTranspose:
+    """The input gradient of a stride-1, same-size conv whose output
+    gradient is one (N, h, w) plane on channel u and 0 on every other:
+    the k*k products ``W[u, :, i, j] * plane`` added at their shifts in
+    col2im's (i, j) order, which gives the GEMM-plus-col2im sums bit for
+    bit.
+
+    Every array is flat, so that each shift is one contiguous add over
+    all channels and samples. A channel is ``stride`` long: N samples of
+    ``rows`` rows of ``r``, padded input rows from ``pad`` on, then k rows
+    of zeros. What a shift carries past a row, sample or channel is zeros,
+    or lands outside the input. Built once per probe call; its buffers
+    serve every unit.
+    """
+
+    def __init__(self, conv: Conv2D, n: int, h: int, w: int) -> None:
+        k = conv.kernel
+        self.conv, self.n, self.h, self.w, self.pad = conv, n, h, w, conv.padding
+        self.rows, self.r = h + self.pad + 1, w + k - 1
+        self.size = n * self.rows * self.r
+        self.stride = self.size + k * self.r
+        self._plane = np.zeros(self.stride)
+        self._seed = self._plane[: self.size].reshape(n, self.rows, self.r)[:, :h, :w]
+        self._term = np.empty((conv.in_channels, self.stride))
+        self._sum = np.empty(conv.in_channels * self.stride + k * self.r)
+
+    def __call__(self, unit: int, mask: np.ndarray, scale: float) -> np.ndarray:
+        """``scale * mask`` through channel ``unit``'s transpose, flat
+        (C_in * stride,). The array is overwritten by the next call."""
+        np.copyto(self._seed, mask)
+        np.multiply(self._plane, scale, out=self._plane)
+        weights, r, span = self.conv.params["W"][unit], self.r, self._term.size
+        term = self._term.reshape(span)
+        self._sum.fill(0.0)
+        for i in range(self.conv.kernel):
+            for j in range(self.conv.kernel):
+                np.multiply(weights[:, i, j, None], self._plane, out=self._term)
+                out = self._sum[i * r + j : i * r + j + span]
+                np.add(out, term, out=out)
+        return self._sum[self.pad * r : self.pad * r + span]
+
+    def image(self, g: np.ndarray) -> np.ndarray:
+        """A fresh (N, C_in, h, w) input gradient from a flat ``g``."""
+        g = g.reshape(-1, self.stride)[:, : self.size].reshape(-1, self.n, self.rows, self.r)
+        return g[:, :, : self.h, self.pad : self.pad + self.w].transpose(1, 0, 2, 3).copy()
+
+
+class _PooledConvTranspose:
+    """``conv``'s input gradient from the gradient at the 2x2 pool over
+    its ReLU, laid out flat as :class:`_PlaneTranspose` returns it.
+
+    The pool's routing and the ReLU's mask become one int64 mask per
+    pool-parity plane (a, b), all ones where the pool routes to pixel
+    (2y + a, 2x + b) and the ReLU passes it; the routed gradient is those
+    bits selected, and one GEMM per parity plane transposes it. col2im
+    then adds each (i, j) column block of parity (a, b) as one flat shift
+    into the parity plane of the padded input that it lands on, so every
+    pixel sums its terms in col2im's (i, j) order; the planes interleave
+    once at the end. Built once per probe call, from that forward's masks.
+    """
+
+    def __init__(self, conv: Conv2D, pool_mask: np.ndarray, relu_mask: np.ndarray) -> None:
+        _, n, c, h, w = pool_mask.shape
+        k, p, cin = conv.kernel, conv.padding, conv.in_channels
+        self.conv, self.n, self.h, self.w = conv, n, h, w
+        self.rows, self.r = h + p + 1, w + 2 * p
+        self.size = n * self.rows * self.r
+        self.stride = self.size + k * self.r
+        route = np.zeros((4, c, self.stride), dtype=np.int64)
+        for ab, win in enumerate(pool_mask):
+            a, b = divmod(ab, 2)
+            plane = route[ab, :, : self.size].reshape(c, n, self.rows, self.r)
+            passed = win & relu_mask[:, :, a::2, b::2]
+            np.copyto(plane[:, :, :h, p : p + w], passed.transpose(1, 0, 2, 3))
+        np.negative(route, out=route)  # 1 -> all ones
+        self._route = route.reshape(4, -1)
+        self._routed = np.empty((c, self.stride))
+        self._routed_bits = self._routed.reshape(-1).view(np.int64)
+        # Rows ordered (i, j, c_in), so that an (i, j) block is contiguous.
+        self._w_cols = conv.params["W"].transpose(2, 3, 1, 0).reshape(-1, c)
+        self._cols = np.empty((4, k * k * cin, self.stride))
+        self._planes = np.empty((4, cin * self.stride + (p + 1) * self.r))
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        k, p, cin = self.conv.kernel, self.conv.padding, self.conv.in_channels
+        r, span = self.r, cin * self.stride
+        for route, cols in zip(self._route, self._cols):
+            np.bitwise_and(g.view(np.int64), route, out=self._routed_bits)
+            np.matmul(self._w_cols, self._routed, out=cols)
+        cols = self._cols.reshape(4, k * k, span)
+        planes = self._planes
+        planes.fill(0.0)
+        for i in range(k):
+            for j in range(k):
+                for ab in range(4):
+                    a, b = divmod(ab, 2)
+                    off = ((a + i) >> 1) * r + ((b + j) >> 1)
+                    out = planes[((a + i) & 1) * 2 + ((b + j) & 1), off : off + span]
+                    np.add(out, cols[ab, i * k + j], out=out)
+        full = planes[:, :span].reshape(2, 2, cin, self.stride)[..., : self.size]
+        full = full.reshape(2, 2, cin, self.n, self.rows, r).transpose(3, 2, 4, 0, 5, 1)
+        full = full.reshape(self.n, cin, 2 * self.rows, 2 * r)
+        # Data sits at column offset p in a plane, so 2p once interleaved,
+        # and the image at padded column p: crop from column 3p.
+        return full[:, :, p : p + 2 * self.h, 3 * p : 3 * p + 2 * self.w]
+
 
 class _TransformerBlock:
     """Pre-LN block: x + attn(LN(x)), then x + MLP(LN(x))."""
@@ -453,6 +584,16 @@ class TinyViT(_ModelBase):
         for blk in reversed(self._blocks[: idx + 1]):
             g = blk.backward(g, params=False)
         return self._embed_to_input(g, params=False)
+
+    def unit_input_grads(self, tap: str, units: Iterable[int]) -> Iterator[np.ndarray]:
+        """As TinyCNN.unit_input_grads, for each unit's patch mean: one
+        ``backward_from_tap`` per unit, from the seed that is ``1 / P`` on
+        that unit of every patch and 0 elsewhere."""
+        shape = self._final_ln._xhat.shape  # (N, P, dim), as at every tap
+        for u in units:
+            seed = np.zeros(shape)
+            seed[:, :, u] = 1.0 / shape[1]
+            yield self.backward_from_tap(tap, seed)
 
 
 class _PositionEmbedding(Layer):

@@ -127,6 +127,55 @@ class TestOneSidedModelBackward:
             assert model.backward_from_tap(tap, np.ones_like(act)).shape == (2, 1, 8, 8)
         assert_grads_untouched(model.named_grads(), before)
 
+    @pytest.mark.parametrize("build", [tiny_cnn, tiny_vit])
+    def test_unit_input_grads_leave_every_gradient_untouched(self, rng, build):
+        model = build()
+        res = model.forward(rng.random((2, 1, 8, 8)))
+        before = dict(fill_grads(model, SENTINEL))
+        for tap, act in res.trunk:
+            units = range(act.shape[2] if act.ndim == 3 else act.shape[1])
+            for g in model.unit_input_grads(tap, units):
+                assert g.shape == (2, 1, 8, 8)
+        assert_grads_untouched(model.named_grads(), before)
+
+
+class TestCnnUnitInputGrads:
+    """TinyCNN's one-channel kernel yields, per unit, the bits that
+    ``backward_from_tap`` gives for the seed that is ``1 / (h * w)`` on
+    that unit's channel and 0 elsewhere."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kernel=st.sampled_from([1, 3, 5]),
+        in_channels=st.integers(1, 2),
+        grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        n=st.integers(1, 16),
+        dead=st.sampled_from([None, "conv1", "conv2"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_backward_from_tap_of_the_one_channel_seed(
+        self, seed, kernel, in_channels, grid, channels, n, dead
+    ):
+        rng = np.random.default_rng(seed)
+        h, w = 4 * grid[0], 4 * grid[1]
+        model = TinyCNN(
+            n_classes=2, input_hw=(h, w), in_channels=in_channels, channels=channels,
+            kernel=kernel, box_head=False, seed=seed % 1000,
+        )
+        if dead is not None:  # zero weights and a negative bias close channel 0
+            model.named_parameters()[f"{dead}.W"][0] = 0.0
+            model.named_parameters()[f"{dead}.b"][0] = -1.0
+        res = model.forward(rng.standard_normal((n, in_channels, h, w)))
+        for tap, act in res.trunk:
+            units = range(act.shape[1])
+            for u, g in zip(units, model.unit_input_grads(tap, units), strict=True):
+                seed_grad = np.zeros_like(act)
+                seed_grad[:, u] = 1.0 / (act.shape[2] * act.shape[3])
+                ref = model.backward_from_tap(tap, seed_grad)
+                assert g.shape == ref.shape == (n, in_channels, h, w)
+                assert g.tobytes() == ref.tobytes(), (tap, u)
+
 
 class TestTrainSkipsTheImageGradient:
     @pytest.mark.parametrize("build, first", [(tiny_cnn, "_conv1"), (tiny_vit, "_embed")])

@@ -53,6 +53,7 @@ class LinearProbeModel:
 
     def forward(self, x, train=False):
         act = np.asarray(x, dtype=np.float64) @ self.w
+        self._n = len(act)
         return ForwardResult(
             logits=act, probs=act, box=None, trunk=[("lin", act)], attention=None
         )
@@ -62,6 +63,12 @@ class LinearProbeModel:
 
     def backward_from_tap(self, tap, seed):
         return seed @ self.w.T
+
+    def unit_input_grads(self, tap, units):
+        for unit in units:
+            seed = np.zeros((self._n, self.w.shape[1]))
+            seed[:, unit] = 1.0
+            yield self.backward_from_tap(tap, seed)
 
 
 def tiny_vit(**overrides):
@@ -273,19 +280,37 @@ class TestSensitivityScores:
         live = [u for u in range(act.shape[1]) if act[:, u].any()]
         assert dead not in live
         probed = []
-        backward_from_tap = model.backward_from_tap
+        unit_input_grads = model.unit_input_grads
 
-        def counting(tap, seed_grad):
-            probed.extend(np.flatnonzero(seed_grad.any(axis=(0, 2, 3))).tolist())
-            return backward_from_tap(tap, seed_grad)
+        def spy(tap, units):
+            probed.extend(units)
+            return unit_input_grads(tap, units)
 
-        model.backward_from_tap = counting
+        model.unit_input_grads = spy
         scores = sensitivity_scores(model, images, tap)
         assert probed == live
-        del model.backward_from_tap
+        del model.unit_input_grads
         expected = [reference_sensitivity(model, images, tap, u) for u in range(act.shape[1])]
         assert scores.tolist() == expected
         assert scores[dead] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("tap", ["conv1", "conv2"])
+    def test_non_finite_weight_of_another_unit_leaves_a_score(self, tap):
+        """TinyCNN's kernel reads only unit u's weights of the conv under
+        the tap. ``backward_from_tap`` also multiplies the other channels'
+        zero seed by their weights, so an inf in channel 0 turns 0 * inf
+        into NaN there; the kernel keeps the finite model's score."""
+        images = np.random.default_rng(0).random((3, 1, 8, 8))
+        model = TinyCNN(
+            n_classes=2, input_hw=(8, 8), channels=(3, 4), box_head=False, seed=4
+        )
+        finite = sensitivity_scores(model, images, tap)
+        model.named_parameters()[f"{tap}.W"][0, 0, 1, 1] = np.inf
+        scores = sensitivity_scores(model, images, tap)
+        assert scores[1:].tolist() == finite[1:].tolist()
+        assert not np.isfinite(scores[0])
+        assert np.isnan(reference_sensitivity(model, images, tap, 1))
 
     def test_skipped_dead_unit_is_in_the_warning(self, caplog):
         model = self._with_dead_channel(0, "conv2", 2)
