@@ -53,7 +53,7 @@ from .nn.snapshot import ModelSnapshot
 from .nn.train import (
     ArrayDataset, MetricTrace, TrainConfig, evaluate, forward_pass, reject_non_finite, stratified_split, train
 )
-from .sampling import combined_rows
+from .sampling import ResampleMode, default_plan, resample_rows
 from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
@@ -544,8 +544,8 @@ def run_mitigation(
     weights: ClassWeights | None = None
     mitigation: dict = {"strategy": strategy.value}
     if strategy in (Strategy.RESAMPLE, Strategy.COMBINED):
-        rows, plan = combined_rows(train_d.manifest, seed=options.seed)
-        train_d = train_d.subset(rows)
+        plan = default_plan(train_d.manifest, ResampleMode.COMBINED, options.seed)
+        train_d = train_d.subset(resample_rows(train_d.manifest, plan))
         mitigation["resample_plan"] = plan.to_json_dict()
     if strategy in (Strategy.COST_SENSITIVE, Strategy.COMBINED):
         weights = compute_class_weights(compute_distribution(train_d.manifest))

@@ -37,6 +37,7 @@ from .detmetrics import write_metrics_csv
 from .losses import compute_class_weights
 from .manifest import (
     DatasetManifest,
+    check_file_ids,
     class_counts,
     compute_distribution,
     load_manifest,
@@ -46,7 +47,7 @@ from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
 from .nn.train import TrainConfig, forward_pass
 from .nn.optim import schedule_from_config
-from .sampling import ResampleMode, ResamplePlan, apply_resample, combined_resample
+from .sampling import ResampleMode, ResamplePlan, apply_resample, default_plan
 from .synthetic import (
     SyntheticConfig,
     SyntheticData,
@@ -256,8 +257,10 @@ def _for_data(options: AuditOptions, data: SyntheticData) -> AuditOptions:
 def _seed_list(cfg: RunConfig) -> list[int]:
     if cfg.values.get("seeds"):
         seeds = list(_parse_tuple(cfg.values["seeds"], "--seeds"))
-        for seed in seeds:
+        for i, seed in enumerate(seeds):
             _check_seed(seed, "--seeds")
+            if seed in seeds[:i]:
+                raise CLIError(f"--seeds repeats seed {seed}; each seed trains into its own run directory")
         return seeds
     return [cfg.values["seed"]]
 
@@ -312,12 +315,8 @@ def cmd_resample(cfg: RunConfig) -> int:
     if not counts:
         raise CLIError(f"manifest {cfg.values['manifest']} holds no record to resample")
     seed = cfg.values["seed"]
-    if mode is ResampleMode.COMBINED:
-        resampled, plan = combined_resample(manifest, seed=seed)
-    else:
-        pick = max if mode is ResampleMode.OVERSAMPLE else min
-        plan = ResamplePlan(targets or {c: pick(counts.values()) for c in counts}, mode, seed)
-        resampled = apply_resample(manifest, plan)
+    plan = ResamplePlan(targets, mode, seed) if targets else default_plan(manifest, mode, seed)
+    resampled = apply_resample(manifest, plan)
     if not resampled.records:
         named = ", ".join(f"{c}={n}" for c, n in sorted(plan.target_counts.items()))
         raise CLIError(f"{mode.value} targets {named} leave no record")
@@ -362,6 +361,7 @@ def cmd_augment(cfg: RunConfig) -> int:
     plan, new_records, new_images, _ = attention_augmentation(
         model, data, cfg.values["tau_att"], cfg.values["kappa"]
     )
+    check_file_ids(record.sample_id for record in new_records)
     cfg.write()
     out = cfg.out_dir
     (out / "plan.json").write_text(
@@ -502,6 +502,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
         if not (0 <= index < len(data.dataset)):
             raise CLIError(f"--index {index} out of range for {len(data.dataset)} samples")
         sample_id = (data.dataset.sample_ids or [f"sample-{index}"])[index]
+    check_file_ids([sample_id])
 
     source = cfg.values["source"]
     res = forward_pass(model, data.dataset.images[index : index + 1], attention=True)

@@ -36,7 +36,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class Condition(Enum):
@@ -356,6 +356,17 @@ _CLASS_LABEL = attrgetter("class_label")
 # The condition by its value string: hashing the member itself would run
 # Enum.__hash__, in Python, for every record.
 _LABEL_AND_CONDITION = attrgetter("class_label", "condition._value_")
+
+
+def check_file_ids(sample_ids: Iterable[str]) -> None:
+    """Raise ManifestError naming the first sample id that cannot name a
+    file inside an output directory: such an id is one plain path
+    component, not empty, without ``/`` or ``\\``, and not ``.`` or ``..``."""
+    for sample_id in sample_ids:
+        if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
+            raise ManifestError(
+                f"record {sample_id!r}: a sample_id that names a file must be one plain path component"
+            )
 
 
 def class_counts(manifest: DatasetManifest) -> dict[str, int]:

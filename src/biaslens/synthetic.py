@@ -12,7 +12,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .augment import AugmentKind, AugmentOp, transform_bbox
-from .manifest import AnnotationRecord, Condition, DatasetManifest, ManifestError, write_manifest
+from .manifest import (
+    AnnotationRecord,
+    Condition,
+    DatasetManifest,
+    ManifestError,
+    check_file_ids,
+    write_manifest,
+)
 from .nn.train import ArrayDataset
 from .pgm import read_pgm, write_pgm
 
@@ -130,7 +137,7 @@ def parse_share_spec(spec: str, n_classes: int = 3) -> tuple[float, ...]:
     return tuple(v / total for v in values)
 
 
-def class_counts(n: int, shares: Sequence[float]) -> list[int]:
+def _class_counts(n: int, shares: Sequence[float]) -> list[int]:
     """Largest-remainder apportionment of n over shares; every class
     gets at least one sample."""
     raw = [n * s for s in shares]
@@ -239,7 +246,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticData:
     """Deterministic dataset of single-shape images with exact boxes."""
     rng = np.random.default_rng(config.seed)
     h, w = config.image_hw
-    counts = class_counts(config.n_samples, config.shares)
+    counts = _class_counts(config.n_samples, config.shares)
     label_seq = np.repeat(np.arange(len(config.class_names)), counts)
     rng.shuffle(label_seq)
 
@@ -278,7 +285,8 @@ def write_dataset(
 ) -> Path:
     """Write one (H, W) image per record as ``images/<sample id>.pgm`` and
     the manifest of the records pointing at them as ``name``; returns the
-    manifest path."""
+    manifest path. Every sample id is checked before anything is written."""
+    check_file_ids(record.sample_id for record in manifest.records)
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     refs = []

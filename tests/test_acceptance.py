@@ -37,9 +37,8 @@ from biaslens.nn.train import ArrayDataset, TrainConfig
 from biaslens.sampling import (
     ResampleMode,
     ResamplePlan,
+    apply_resample,
     build_subset_schedule,
-    random_oversample,
-    random_undersample,
 )
 from biaslens.synthetic import SyntheticConfig, generate_synthetic
 
@@ -359,12 +358,12 @@ def test_09_audit_cli_reproduces_report_byte_identically(tmp_path, monkeypatch):
 def test_10_resampling_targets_and_subset_schedule():
     manifest = make_manifest({"car": 40, "ped": 7, "cyc": 5})
 
-    over = random_oversample(
+    over = apply_resample(
         manifest, ResamplePlan({"car": 40, "ped": 40, "cyc": 40}, ResampleMode.OVERSAMPLE, seed=1)
     )
     assert compute_distribution(over).counts == {"car": 40, "ped": 40, "cyc": 40}
 
-    under = random_undersample(
+    under = apply_resample(
         manifest, ResamplePlan({"car": 5, "ped": 5, "cyc": 5}, ResampleMode.UNDERSAMPLE, seed=1)
     )
     assert compute_distribution(under).counts == {"car": 5, "ped": 5, "cyc": 5}

@@ -1,12 +1,14 @@
 """Every public top-level function and class of ``biaslens`` has a reader
 outside the test suite: code of the package, the README or the benchmark.
 A name that only tests call is API that no run uses, so it is deleted, or
-listed in ``ALLOWED`` with the reason to keep it."""
+listed in ``ALLOWED`` with the reason to keep it. No public name is
+defined in two modules, where one's readers would hide the other."""
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,12 @@ def test_every_public_name_has_a_reader():
 def test_every_allowed_name_is_needed(name):
     """An allowed name exists and has no other reader, so the entry is not stale."""
     assert any(entry.endswith(f": {name}") for entry in _unread()), name
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    """One public name, one definition: a second one hides from the reader
+    test behind the first one's readers."""
+    modules = defaultdict(list)
+    for module, name in _public_definitions():
+        modules[name].append(module)
+    assert {name: found for name, found in modules.items() if len(found) > 1} == {}

@@ -31,7 +31,7 @@ from biaslens.behavior import export_heatmap, lrp_propagate
 from biaslens.nn.models import TinyViT
 from biaslens.nn.snapshot import MAGIC, load_snapshot, model_from_snapshot
 from biaslens.nn.train import _ROW_BLOCK, TrainConfig, forward_pass
-from biaslens.sampling import combined_resample
+from biaslens.sampling import ResampleMode, default_plan
 from biaslens.synthetic import (
     SyntheticConfig,
     dataset_from_manifest,
@@ -312,6 +312,14 @@ class TestRejectedRequest:
             cfg.write_text(json.dumps(config), encoding="utf-8")
             flags = [*flags, "--config", str(cfg)]
         self._rejects([sub, *_fast(sub), *flags], name, tmp_path, capsys, train_calls)
+
+    @pytest.mark.parametrize("sub", ["audit", "mitigate"])
+    @pytest.mark.parametrize("seeds, seed", [("1,1", 1), ("0,2,0", 0)])
+    def test_repeated_seed_is_named(self, tmp_path, capsys, train_calls, sub, seeds, seed):
+        """A repeated seed used to train twice into one run directory, both
+        at once under --jobs 2, and appear twice in summary.json."""
+        argv = [sub, *FAST_AUDIT, "--seeds", seeds, "--jobs", "2"]
+        self._rejects(argv, f"--seeds repeats seed {seed}", tmp_path, capsys, train_calls)
 
     def test_negative_seed_is_rejected_before_the_manifest_loads(self, tmp_path, capsys, train_calls, monkeypatch):
         def spy(path):
@@ -702,7 +710,7 @@ class TestResample:
         manifest_path, _ = dataset_dir
         out = tmp_path / "out"
         assert main(["resample", "--manifest", str(manifest_path), "--seed", "3", "--out", str(out)]) == 0
-        _, plan = combined_resample(load_manifest(manifest_path), seed=3)
+        plan = default_plan(load_manifest(manifest_path), ResampleMode.COMBINED, seed=3)
         assert (out / "plan.json").read_text() == canonical_json(plan.to_json_dict()) + "\n"
         assert json.loads((out / "distribution.json").read_text())["counts"] == plan.target_counts
 
@@ -1210,6 +1218,47 @@ class TestAugmentCommand:
         ])
         assert code == 1
         assert "snapshot file not found" in capsys.readouterr().err
+
+
+class TestIdsThatNameFiles:
+    """A sample id that names an output file must be one plain path
+    component; any other exits 1 naming the record before anything is
+    written, instead of writing outside --out."""
+
+    @staticmethod
+    def _renamed_manifest(tmp_path, dataset_dir, rename) -> Path:
+        manifest_path, root = dataset_dir
+        manifest = load_manifest(manifest_path)
+        records = tuple(replace(r, sample_id=rename(i)) for i, r in enumerate(manifest.records))
+        path = tmp_path / "renamed.jsonl"
+        write_manifest(replace(manifest, records=records), path)
+        return path
+
+    @pytest.mark.parametrize("prefix", ["../", "..\\"])
+    def test_augment(self, dataset_dir, vit_snapshot, tmp_path, capsys, prefix):
+        path = self._renamed_manifest(tmp_path, dataset_dir, lambda i: f"{prefix}esc{i}")
+        out = tmp_path / "deep" / "out"
+        code = main([
+            "augment", "--manifest", str(path), "--images-root", str(dataset_dir[1]),
+            "--snapshot", str(vit_snapshot), "--tau-att", "0.9", "--kappa", "2", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"record {repr(prefix)[:-1]}esc" in err and "-aug" in err
+        assert not (tmp_path / "deep").exists()
+
+    @pytest.mark.parametrize("sample_id", ["../esc", "a\\b", "..", "."])
+    def test_heatmap(self, dataset_dir, vit_snapshot, tmp_path, capsys, sample_id):
+        path = self._renamed_manifest(tmp_path, dataset_dir, lambda i: sample_id if i == 2 else f"s{i}")
+        out = tmp_path / "out"
+        code = main([
+            "heatmap", "--snapshot", str(vit_snapshot), "--manifest", str(path),
+            "--images-root", str(dataset_dir[1]), "--index", "2", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"record {sample_id!r}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["renamed.jsonl"]
 
 
 class TestHeatmapCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from biaslens.manifest import (
     Condition,
     DatasetManifest,
     ManifestError,
+    check_file_ids,
     compute_distribution,
     load_manifest,
     write_manifest,
@@ -507,6 +509,20 @@ class TestWriteDataset:
         data = generate_synthetic(SyntheticConfig(n_samples=6, image_hw=(16, 16)))
         with pytest.raises(ValueError):
             write_dataset(data.manifest, data.dataset.images[:5, 0], tmp_path)
+
+    @pytest.mark.parametrize("sample_id", ["../../escaped", "a/b", "a\\b", "/abs", "..", ".", ""])
+    def test_id_that_is_not_one_path_component_writes_nothing(self, tmp_path, sample_id):
+        """A sample id names its image file; ``../../escaped`` under
+        ``out/deep`` used to write ``out/escaped.pgm``."""
+        data = generate_synthetic(SyntheticConfig(n_samples=3, image_hw=(16, 16)))
+        records = (*data.manifest.records[:2], replace(data.manifest.records[2], sample_id=sample_id))
+        with pytest.raises(ManifestError, match=re.escape(f"record {sample_id!r}")):
+            write_dataset(replace(data.manifest, records=records), data.dataset.images[:, 0], tmp_path / "out" / "deep")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("sample_id", ["s0", "..a", "a.", "...", "a b", "-aug0", "syn-1-00001"])
+    def test_one_plain_component_names_a_file(self, sample_id):
+        check_file_ids([sample_id])
 
 
 class TestStreamedIO:

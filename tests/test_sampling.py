@@ -11,11 +11,11 @@ from biaslens.sampling import (
     ResampleError,
     ResampleMode,
     ResamplePlan,
+    apply_resample,
     build_subset_schedule,
     combined_resample,
-    combined_rows,
-    random_oversample,
-    random_undersample,
+    default_plan,
+    resample_rows,
 )
 
 from conftest import make_manifest, make_record
@@ -25,44 +25,44 @@ def class_counts(manifest):
     return compute_distribution(manifest).counts
 
 
+def labelled_manifest(labels) -> DatasetManifest:
+    return DatasetManifest(
+        records=tuple(make_record(sample_id=f"r{i}", class_label=c) for i, c in enumerate(labels))
+    )
+
+
 class TestRandomOversample:
     def test_reaches_max_target_exactly(self):
         manifest = make_manifest({"ped": 100, "cyc": 10, "moto": 12})
         plan = ResamplePlan(
             {"ped": 100, "cyc": 100, "moto": 100}, ResampleMode.OVERSAMPLE, seed=0
         )
-        out = random_oversample(manifest, plan)
+        out = apply_resample(manifest, plan)
         assert class_counts(out) == {"ped": 100, "cyc": 100, "moto": 100}
 
     def test_target_equals_current_is_identity(self):
         manifest = make_manifest({"a": 5, "b": 7})
         plan = ResamplePlan({"a": 5, "b": 7}, ResampleMode.OVERSAMPLE)
-        assert random_oversample(manifest, plan).records == manifest.records
+        assert apply_resample(manifest, plan).records == manifest.records
 
     def test_same_seed_duplicates_same_records(self):
         manifest = make_manifest({"a": 3, "b": 9})
         plan = ResamplePlan({"a": 9}, ResampleMode.OVERSAMPLE, seed=11)
-        first = random_oversample(manifest, plan)
-        second = random_oversample(manifest, plan)
+        first = apply_resample(manifest, plan)
+        second = apply_resample(manifest, plan)
         assert first.records == second.records
 
     def test_originals_are_retained(self):
         manifest = make_manifest({"a": 3, "b": 9})
         plan = ResamplePlan({"a": 9}, ResampleMode.OVERSAMPLE, seed=1)
-        out = random_oversample(manifest, plan)
+        out = apply_resample(manifest, plan)
         assert out.records[: len(manifest.records)] == manifest.records
 
     def test_target_below_current_rejected(self):
         manifest = make_manifest({"a": 5})
         plan = ResamplePlan({"a": 3}, ResampleMode.OVERSAMPLE)
         with pytest.raises(ResampleError, match="below current"):
-            random_oversample(manifest, plan)
-
-    def test_wrong_mode_rejected(self):
-        manifest = make_manifest({"a": 5})
-        plan = ResamplePlan({"a": 3}, ResampleMode.UNDERSAMPLE)
-        with pytest.raises(ResampleError, match="mode"):
-            random_oversample(manifest, plan)
+            apply_resample(manifest, plan)
 
 
 class TestRandomUndersample:
@@ -71,26 +71,26 @@ class TestRandomUndersample:
         plan = ResamplePlan(
             {"ped": 10, "cyc": 10, "moto": 10}, ResampleMode.UNDERSAMPLE, seed=0
         )
-        out = random_undersample(manifest, plan)
+        out = apply_resample(manifest, plan)
         assert class_counts(out) == {"ped": 10, "cyc": 10, "moto": 10}
 
     def test_target_equals_current_is_identity(self):
         manifest = make_manifest({"a": 4, "b": 2})
         plan = ResamplePlan({"a": 4, "b": 2}, ResampleMode.UNDERSAMPLE)
-        assert random_undersample(manifest, plan).records == manifest.records
+        assert apply_resample(manifest, plan).records == manifest.records
 
     def test_kept_subset_is_seed_determined(self):
         manifest = make_manifest({"a": 4, "b": 2})
         plan = ResamplePlan({"a": 2, "b": 2}, ResampleMode.UNDERSAMPLE, seed=3)
-        first = random_undersample(manifest, plan)
-        second = random_undersample(manifest, plan)
+        first = apply_resample(manifest, plan)
+        second = apply_resample(manifest, plan)
         assert class_counts(first) == {"a": 2, "b": 2}
         assert first.records == second.records
 
     def test_canonical_order_preserved(self):
         manifest = make_manifest({"a": 10})
         plan = ResamplePlan({"a": 4}, ResampleMode.UNDERSAMPLE, seed=5)
-        kept = random_undersample(manifest, plan).records
+        kept = apply_resample(manifest, plan).records
         original_order = {r.sample_id: i for i, r in enumerate(manifest.records)}
         positions = [original_order[r.sample_id] for r in kept]
         assert positions == sorted(positions)
@@ -99,37 +99,68 @@ class TestRandomUndersample:
         manifest = make_manifest({"a": 2})
         plan = ResamplePlan({"a": 5}, ResampleMode.UNDERSAMPLE)
         with pytest.raises(ResampleError, match="above current"):
-            random_undersample(manifest, plan)
+            apply_resample(manifest, plan)
+
+
+class TestResampleRows:
+    """The exact rows of each mode for one interleaved manifest (9 ``a``,
+    5 ``b``, 2 ``c``) at seed 7, as the three separate row builders that
+    ``resample_rows`` replaced drew them."""
+
+    LABELS = "abaacbabaabaacab"
+
+    @pytest.mark.parametrize(
+        ("mode", "target", "want"),
+        [
+            (
+                ResampleMode.OVERSAMPLE, 9,
+                [*range(16), 15, 10, 10, 15, 13, 13, 13, 4, 4, 4, 4],
+            ),
+            (ResampleMode.UNDERSAMPLE, 2, [4, 7, 9, 10, 12, 13]),
+            (
+                ResampleMode.COMBINED, 5,
+                [1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 13, 13, 13],
+            ),
+        ],
+    )
+    def test_rows_are_pinned(self, mode, target, want):
+        manifest = labelled_manifest(self.LABELS)
+        plan = default_plan(manifest, mode, seed=7)
+        assert plan == ResamplePlan({"a": target, "b": target, "c": target}, mode, seed=7)
+        assert resample_rows(manifest, plan) == want
+
+    def test_combined_reaches_explicit_targets(self):
+        manifest = labelled_manifest(self.LABELS)
+        plan = ResamplePlan({"a": 3, "c": 7}, ResampleMode.COMBINED, seed=7)
+        assert class_counts(apply_resample(manifest, plan)) == {"a": 3, "b": 5, "c": 7}
 
 
 class TestTargetCheck:
-    """Both resamplers check a plan's targets alike: every target is reached
+    """Every mode checks a plan's targets alike: every target is reached
     exactly, or ResampleError names the first class whose target the mode
     cannot reach: one the manifest does not hold, a negative count, or a
-    count on the wrong side of the current one."""
+    count on the wrong side of the current one for Oversample and
+    Undersample."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         counts=st.dictionaries(st.sampled_from("abc"), st.integers(1, 6), min_size=1),
         targets=st.dictionaries(st.sampled_from("abcd"), st.integers(-3, 9)),
-        over=st.booleans(),
+        mode=st.sampled_from(ResampleMode),
     )
-    def test_targets_reached_or_class_named(self, counts, targets, over):
+    def test_targets_reached_or_class_named(self, counts, targets, mode):
         manifest = make_manifest(counts)
-        mode, resample = (
-            (ResampleMode.OVERSAMPLE, random_oversample) if over
-            else (ResampleMode.UNDERSAMPLE, random_undersample)
-        )
         plan = ResamplePlan(targets, mode, seed=0)
+        over, under = mode is ResampleMode.OVERSAMPLE, mode is ResampleMode.UNDERSAMPLE
         bad = [
             c for c, t in targets.items()
-            if c not in counts or t < 0 or (t < counts[c] if over else t > counts[c])
+            if c not in counts or t < 0 or (over and t < counts[c]) or (under and t > counts[c])
         ]
         if bad:
             with pytest.raises(ResampleError, match=f"class {bad[0]!r}"):
-                resample(manifest, plan)
+                apply_resample(manifest, plan)
         else:
-            got = class_counts(resample(manifest, plan))
+            got = class_counts(apply_resample(manifest, plan))
             want = {**counts, **targets}
             assert {c: n for c, n in got.items() if n} == {c: n for c, n in want.items() if n}
 
@@ -170,10 +201,9 @@ class TestCombinedResample:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_take_the_resampled_manifest(self, labels, seed):
-        manifest = DatasetManifest(
-            records=tuple(make_record(sample_id=f"r{i}", class_label=c) for i, c in enumerate(labels))
-        )
-        rows, plan = combined_rows(manifest, seed)
+        manifest = labelled_manifest(labels)
+        plan = default_plan(manifest, ResampleMode.COMBINED, seed)
+        rows = resample_rows(manifest, plan)
         assert (manifest.subset(rows), plan) == combined_resample(manifest, seed)
 
     @given(
@@ -189,7 +219,7 @@ class TestCombinedResample:
     def test_oversample_hits_arbitrary_targets_exactly(self, targets, seed):
         manifest = make_manifest({"a": 5, "b": 5})
         plan = ResamplePlan(targets, ResampleMode.OVERSAMPLE, seed=seed)
-        out = random_oversample(manifest, plan)
+        out = apply_resample(manifest, plan)
         assert class_counts(out) == targets
 
 
