@@ -47,7 +47,7 @@ from .detmetrics import (
     write_metrics_csv,
 )
 from .losses import ClassWeights, compute_class_weights, dynamic_weight_adjust, weighted_ce_from_logits
-from .manifest import DatasetManifest, compute_distribution
+from .manifest import DatasetManifest, class_counts, compute_distribution
 from .nn.models import build_model
 from .nn.snapshot import ModelSnapshot
 from .nn.train import (
@@ -544,7 +544,7 @@ def run_mitigation(
     weights: ClassWeights | None = None
     mitigation: dict = {"strategy": strategy.value}
     if strategy in (Strategy.RESAMPLE, Strategy.COMBINED):
-        plan = default_plan(train_d.manifest, ResampleMode.COMBINED, options.seed)
+        plan = default_plan(class_counts(train_d.manifest), ResampleMode.COMBINED, options.seed)
         train_d = train_d.subset(resample_rows(train_d.manifest, plan))
         mitigation["resample_plan"] = plan.to_json_dict()
     if strategy in (Strategy.COST_SENSITIVE, Strategy.COMBINED):

@@ -46,7 +46,7 @@ from .manifest import (
 from .nn.models import TinyCNN, TinyViT
 from .nn.snapshot import load_snapshot, model_from_snapshot
 from .nn.train import TrainConfig, forward_pass
-from .nn.optim import schedule_from_config
+from .nn.optim import SCHEDULES
 from .sampling import ResampleMode, ResamplePlan, apply_resample, default_plan
 from .synthetic import (
     SyntheticConfig,
@@ -148,6 +148,8 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
         if isinstance(value, float) and not math.isfinite(value):
             raise CLIError(f"{_API_NAMES.get(key, key)} must be finite, got {value}")
     if "seed" in flags:
+        if resolved["seed"] is not None and resolved.get("seeds"):
+            raise CLIError("--seed and --seeds are both set; --seeds lists every seed to run")
         source = "--seed" if "seed" in explicit else f"config file {config_path}: seed"
         if resolved.get("seed") is None:
             source, env = f"${ENV_SEED}", os.environ.get(ENV_SEED)
@@ -184,7 +186,8 @@ def _load_manifest(cfg: RunConfig) -> DatasetManifest:
     return load_manifest(path)
 
 
-def _load_data(cfg: RunConfig) -> SyntheticData:
+def _load_data(cfg: RunConfig, seed: int) -> SyntheticData:
+    """Manifest data is fixed (it reads no seed); synthetic data is generated from ``seed``."""
     v = cfg.values
     if v.get("manifest"):
         manifest = _load_manifest(cfg)
@@ -198,7 +201,7 @@ def _load_data(cfg: RunConfig) -> SyntheticData:
             n_samples=v["n_samples"],
             shares=parse_share_spec(v.get("synthetic") or "balanced"),
             image_hw=(side, side),
-            seed=v["seed"],
+            seed=seed,
         )
     )
 
@@ -235,7 +238,7 @@ def _model_options(cfg: RunConfig) -> dict:
 
 def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
     values = _api_values(cfg, "training")
-    values["lr_schedule"] = schedule_from_config({"kind": values["lr_schedule"]})
+    values["lr_schedule"] = SCHEDULES[values["lr_schedule"]]
     return TrainConfig(**values, seed=seed)
 
 
@@ -263,11 +266,6 @@ def _seed_list(cfg: RunConfig) -> list[int]:
                 raise CLIError(f"--seeds repeats seed {seed}; each seed trains into its own run directory")
         return seeds
     return [cfg.values["seed"]]
-
-
-def _data_for_seed(cfg: RunConfig, seed: int) -> SyntheticData:
-    """Manifest data is fixed (it reads no seed); synthetic data is regenerated per seed."""
-    return _load_data(replace(cfg, values={**cfg.values, "seed": seed}))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +313,7 @@ def cmd_resample(cfg: RunConfig) -> int:
     if not counts:
         raise CLIError(f"manifest {cfg.values['manifest']} holds no record to resample")
     seed = cfg.values["seed"]
-    plan = ResamplePlan(targets, mode, seed) if targets else default_plan(manifest, mode, seed)
+    plan = ResamplePlan(targets, mode, seed) if targets else default_plan(counts, mode, seed)
     resampled = apply_resample(manifest, plan)
     if not resampled.records:
         named = ", ".join(f"{c}={n}" for c, n in sorted(plan.target_counts.items()))
@@ -375,7 +373,7 @@ def cmd_augment(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
     options = AuditOptions(train=_train_config(cfg, seed), seed=seed, **_model_options(cfg))
-    data = _load_data(cfg)
+    data = _load_data(cfg, seed)
     weights = None
     if cfg.values["weighted"]:
         weights = compute_class_weights(compute_distribution(data.manifest))
@@ -394,7 +392,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def _audit_one(cfg: RunConfig, options: AuditOptions, strategy: Strategy | None) -> dict:
     """One seed's audit (and optional mitigation); picklable args so the
     multi-seed path can run under a process pool deterministically."""
-    data = _data_for_seed(cfg, options.seed)
+    data = _load_data(cfg, options.seed)
     run = run_audit(data, _for_data(options, data), out_dir=cfg.out_dir)
     summary: dict = {"seed": options.seed, "run_dir": str(run.run_dir)}
     report = run.report
@@ -447,7 +445,7 @@ def cmd_mitigate(cfg: RunConfig) -> int:
 def cmd_recalibrate(cfg: RunConfig) -> int:
     seed = cfg.values["seed"]
     options = _audit_options(cfg, seed)
-    data = _data_for_seed(cfg, seed)
+    data = _load_data(cfg, seed)
     history, rows = recalibration_loop(data, _for_data(options, data))
     cfg.write()
     converged = rows[-1]["gap"] < options.epsilon_gap
@@ -490,7 +488,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def cmd_heatmap(cfg: RunConfig) -> int:
     model = _vit_model(cfg)
-    data = _load_data(cfg)
+    data = _load_data(cfg, cfg.values["seed"])
     sample_id = cfg.values.get("sample_id")
     if sample_id is not None:
         ids = data.dataset.sample_ids or ()
@@ -569,9 +567,12 @@ class Flag:
 COMMON = (
     Flag("--out", "output directory (all artifacts go here)", required=True),
     Flag("--config", "JSON config file; flags override file values"),
-    Flag("--seed", f"base seed; falls back to ${ENV_SEED}, then 0", type=int),
-    Flag("--jobs", "parallel workers for multi-seed runs", 1, int),
 )
+# After COMMON in the subcommands that read them: --seed in those that draw
+# splits, initial weights, synthetic data or resamples, --jobs in the two
+# that run --seeds.
+_SEED = Flag("--seed", f"base seed; falls back to ${ENV_SEED}, then 0", type=int)
+_JOBS = Flag("--jobs", "parallel workers for multi-seed runs", 1, int)
 # Keys that name no run setting, so a config file cannot set them.
 _NOT_CONFIG_KEYS = ("out", "config")
 
@@ -587,12 +588,6 @@ _TAU_ATT = Flag("--tau-att", "attention-mass threshold for augmentation", _AUDIT
 _KAPPA = Flag("--kappa", "augmentation volume scale", _AUDIT.kappa, float)
 _SEEDS = Flag("--seeds", "comma-separated seed list for a multi-seed run")
 _SPLIT = Flag("--split", "train/val/test fractions, comma-separated", ",".join(map(str, _AUDIT.split)))
-_RECALIBRATION = (
-    Flag("--eta", "weight recalibration step size", _AUDIT.eta, float),
-    Flag("--target-recall", "recall target for recalibration (default: best observed)", _AUDIT.target_recall, float),
-    Flag("--max-iterations", "recalibration iteration cap", _AUDIT.max_recal_iterations, int),
-    Flag("--epsilon-gap", "recall gap declaring convergence", _AUDIT.epsilon_gap, float),
-)
 
 GROUPS: dict[str, tuple[Flag, ...]] = {
     "data source": (
@@ -618,7 +613,7 @@ GROUPS: dict[str, tuple[Flag, ...]] = {
         Flag("--epochs", "training epochs", _TRAIN.epochs, int),
         Flag("--weight-decay", "L2 decay on matrix/kernel parameters", _TRAIN.weight_decay, float),
         Flag("--dropout", "dropout rate (ViT blocks and embeddings)", _TRAIN.dropout, float),
-        Flag("--lr-schedule", "learning-rate schedule", _TRAIN.lr_schedule.kind, choices=("constant", "step", "linear")),
+        Flag("--lr-schedule", "learning-rate schedule", _TRAIN.lr_schedule.kind, choices=tuple(SCHEDULES)),
         Flag("--box-loss-weight", "box regression loss scale", _TRAIN.box_loss_weight, float),
     ),
     "audit": (
@@ -629,12 +624,17 @@ GROUPS: dict[str, tuple[Flag, ...]] = {
         _TAU_ATT,
         _KAPPA,
         Flag("--tau-rel", "in-box relevance threshold for duplication", _AUDIT.tau_rel, float),
-        *_RECALIBRATION,
         Flag("--fn-threshold", "FN-rate delta for an 'improved' verdict", _AUDIT.fn_delta_threshold, float),
         Flag("--ap-threshold", "AP delta for an 'improved' verdict", _AUDIT.ap_delta_threshold, float),
         Flag("--track-sensitivity", "also track gradient sensitivity per epoch", _AUDIT.track_sensitivity, action="store_true"),
     ),
-    "recalibration": (_SPLIT, *_RECALIBRATION),
+    "recalibration": (
+        _SPLIT,
+        Flag("--eta", "weight recalibration step size", _AUDIT.eta, float),
+        Flag("--target-recall", "recall target for recalibration (default: best observed)", _AUDIT.target_recall, float),
+        Flag("--max-iterations", "recalibration iteration cap", _AUDIT.max_recal_iterations, int),
+        Flag("--epsilon-gap", "recall gap declaring convergence", _AUDIT.epsilon_gap, float),
+    ),
 }
 
 
@@ -678,7 +678,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
          Flag("--target", "per-class target count, repeatable; Oversample and Undersample only "
               "(default: every class at the largest count, or the smallest for Undersample)", [],
               action="append", metavar="CLASS=COUNT"),
-         *COMMON),
+         *COMMON, _SEED),
         cmd_resample,
     ),
     "augment": Subcommand(
@@ -694,26 +694,26 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         "Train a model on a synthetic or manifest dataset; writes snapshot + metric trace.",
         ("data source", "model", "training",
          Flag("--weighted", "use inverse-frequency class weights in the loss", False, action="store_true"),
-         *COMMON),
+         *COMMON, _SEED),
         cmd_train,
     ),
     "audit": Subcommand(
         "baseline bias audit (pre-mitigation report)",
         "Train the unweighted baseline and write the pre-mitigation bias report.",
-        ("data source", "model", "training", "audit", _SEEDS, *COMMON),
+        ("data source", "model", "training", "audit", _SEEDS, *COMMON, _SEED, _JOBS),
         cmd_audit,
     ),
     "mitigate": Subcommand(
         "audit + mitigation + post report",
         "Run the audit, apply a mitigation strategy, retrain, and write the pre+post report.",
         (Flag("--strategy", "mitigation strategy", "Combined", choices=tuple(s.value for s in Strategy)),
-         "data source", "model", "training", "audit", _SEEDS, *COMMON),
+         "data source", "model", "training", "audit", _SEEDS, *COMMON, _SEED, _JOBS),
         cmd_mitigate,
     ),
     "recalibrate": Subcommand(
         "iterative class-weight recalibration",
         "Retrain with dynamically adjusted class weights until the recall gap closes.",
-        ("data source", "model", "training", "recalibration", *COMMON),
+        ("data source", "model", "training", "recalibration", *COMMON, _SEED),
         cmd_recalibrate,
     ),
     "report": Subcommand(
@@ -731,7 +731,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
          Flag("--index", "sample index when no --sample-id is given", 0, int),
          Flag("--layer", "attention layer (-1 = final)", -1, int),
          Flag("--source", "map to export", "attention", choices=("attention", "relevance")),
-         *COMMON),
+         *COMMON, _SEED),
         cmd_heatmap,
     ),
 }

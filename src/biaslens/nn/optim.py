@@ -52,17 +52,8 @@ class LinearDecayLR:
         return {"kind": self.kind, "to": self.to}
 
 
-def schedule_from_config(obj) -> ConstantLR | StepDecayLR | LinearDecayLR:
-    kind = obj.get("kind", "constant")
-    if kind == "constant":
-        return ConstantLR()
-    if kind == "step":
-        return StepDecayLR(
-            factor=float(obj.get("factor", 0.9)), every_n=int(obj.get("every_n", 10))
-        )
-    if kind == "linear":
-        return LinearDecayLR(to=float(obj.get("to", 1e-5)))
-    raise ValueError(f"unknown lr schedule kind {kind!r}")
+# Each schedule kind's default instance, in the order ``--lr-schedule`` lists them.
+SCHEDULES = {s.kind: s for s in (ConstantLR(), StepDecayLR(), LinearDecayLR())}
 
 
 class Adam:

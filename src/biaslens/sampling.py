@@ -99,11 +99,11 @@ def resample_rows(manifest: DatasetManifest, plan: ResamplePlan) -> list[int]:
     return kept
 
 
-def default_plan(manifest: DatasetManifest, mode: ResampleMode, seed: int = 0) -> ResamplePlan:
-    """The plan that equalizes every class at the mode's default target:
-    the largest class count for Oversample, the smallest for Undersample
-    and the median for Combined."""
-    counts = class_counts(manifest)
+def default_plan(counts: dict[str, int], mode: ResampleMode, seed: int = 0) -> ResamplePlan:
+    """The plan that equalizes every class of ``counts`` (records per class,
+    as ``manifest.class_counts`` gives them) at the mode's default target:
+    the largest count for Oversample, the smallest for Undersample and the
+    median for Combined."""
     pick = {
         ResampleMode.OVERSAMPLE: max,
         ResampleMode.UNDERSAMPLE: min,
@@ -120,7 +120,7 @@ def combined_resample(
     manifest: DatasetManifest, seed: int = 0
 ) -> tuple[DatasetManifest, ResamplePlan]:
     """Equalize all per-class counts at the median: undersample above, then oversample below."""
-    plan = default_plan(manifest, ResampleMode.COMBINED, seed)
+    plan = default_plan(class_counts(manifest), ResampleMode.COMBINED, seed)
     return apply_resample(manifest, plan), plan
 
 

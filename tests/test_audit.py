@@ -31,7 +31,7 @@ from biaslens.audit import (
     run_mitigation,
 )
 from biaslens.losses import compute_class_weights, dynamic_weight_adjust, weighted_ce_from_logits
-from biaslens.manifest import Condition, compute_distribution
+from biaslens.manifest import Condition, class_counts, compute_distribution
 from biaslens.nn.models import TinyViT, build_model
 from biaslens.nn.optim import StepDecayLR
 from biaslens.nn.train import MetricTrace, TrainConfig, evaluate
@@ -382,7 +382,7 @@ class TestSharedSampleIds:
 
     def test_combined_resampling_keeps_each_records_row(self):
         data = with_shared_disk_ids(small_data(n=60, shares=(0.2, 0.5, 0.3)))
-        plan = default_plan(data.manifest, ResampleMode.COMBINED, seed=3)
+        plan = default_plan(class_counts(data.manifest), ResampleMode.COMBINED, seed=3)
         resampled = data.subset(resample_rows(data.manifest, plan))
         assert plan.target_counts == {"disk": 18, "bar": 18, "cross": 18}
         assert np.bincount(resampled.dataset.labels).tolist() == [18, 18, 18]
@@ -529,7 +529,7 @@ class TestStrategiesCompose:
         assert set(record) == self.KEYS[strategy]
         train_d = baseline_run.data.subset(baseline_run.splits[0])
         if "resample_plan" in record:
-            plan = default_plan(train_d.manifest, ResampleMode.COMBINED, seed=baseline_run.options.seed)
+            plan = default_plan(class_counts(train_d.manifest), ResampleMode.COMBINED, seed=baseline_run.options.seed)
             train_d = train_d.subset(resample_rows(train_d.manifest, plan))
             assert record["resample_plan"] == plan.to_json_dict()
         self._assert_same_rows(train_set, train_d.dataset)
@@ -549,7 +549,7 @@ class TestStrategiesCompose:
         counts = np.bincount(resampled.labels, minlength=3)
         assert len(set(counts.tolist())) == 1, "resampling equalizes the classes"
         train_d = run.data.subset(run.splits[0])
-        plan = default_plan(train_d.manifest, ResampleMode.COMBINED, seed=run.options.seed)
+        plan = default_plan(class_counts(train_d.manifest), ResampleMode.COMBINED, seed=run.options.seed)
         rows = resample_rows(train_d.manifest, plan)
         weights = compute_class_weights(compute_distribution(train_d.subset(rows).manifest))
         npt.assert_array_equal(loss_fn.keywords["weights"], weights.as_vector(resampled.class_order))

@@ -26,7 +26,7 @@ from biaslens.audit import (
 )
 from biaslens.losses import compute_class_weights
 from biaslens.cli import _API_NAMES, GROUPS, SUBCOMMANDS, CLIError, build_parser, main, resolve_config
-from biaslens.manifest import compute_distribution, load_manifest, write_manifest
+from biaslens.manifest import class_counts, compute_distribution, load_manifest, write_manifest
 from biaslens.behavior import export_heatmap, lrp_propagate
 from biaslens.nn.models import TinyViT
 from biaslens.nn.snapshot import MAGIC, load_snapshot, model_from_snapshot
@@ -192,7 +192,8 @@ class TestRejectedRequest:
 
     @pytest.mark.parametrize(
         "sub, flag",
-        [("train", f) for f in _real_flags("training")] + [("audit", f) for f in _real_flags("audit")],
+        [("train", f) for f in _real_flags("training")] + [("audit", f) for f in _real_flags("audit")]
+        + [("recalibrate", f) for f in _real_flags("recalibration")],
     )
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_non_finite_flag(self, tmp_path, capsys, train_calls, sub, flag, value):
@@ -312,6 +313,21 @@ class TestRejectedRequest:
             cfg.write_text(json.dumps(config), encoding="utf-8")
             flags = [*flags, "--config", str(cfg)]
         self._rejects([sub, *_fast(sub), *flags], name, tmp_path, capsys, train_calls)
+
+    @pytest.mark.parametrize("sub", ["audit", "mitigate"])
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--seed", "7", "--seeds", "1,2"], None), ([], {"seed": 7, "seeds": "1,2"}), (["--seeds", "1,2"], {"seed": 7})],
+        ids=["flags", "config", "flag-and-config"],
+    )
+    def test_seed_with_seeds_is_named(self, tmp_path, capsys, train_calls, sub, flags, config):
+        """--seeds runs each of its seeds; the --seed beside it used to be
+        ignored without a word."""
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            flags = [*flags, "--config", str(cfg)]
+        self._rejects([sub, *FAST_AUDIT, *flags], "--seed and --seeds are both set", tmp_path, capsys, train_calls)
 
     @pytest.mark.parametrize("sub", ["audit", "mitigate"])
     @pytest.mark.parametrize("seeds, seed", [("1,1", 1), ("0,2,0", 0)])
@@ -452,6 +468,7 @@ class TestConfigResolution:
         monkeypatch.setenv("BIASLENS_SEED", "7")
         assert resolve_config("audit", {}, None).values["seed"] == 7
         assert resolve_config("audit", {"seed": 5}, None).values["seed"] == 5
+        assert resolve_config("audit", {"seeds": "1,2"}, None).values["seeds"] == "1,2"
 
 
 class TestConfigFileFuzz:
@@ -548,6 +565,83 @@ class TestRequiredFlagInConfig:
             "report": ["run_dir"],
             "heatmap": ["snapshot"],
         }
+
+
+# The settable values that subcommands used to take without reading them,
+# with a value each would accept.
+DROPPED = [
+    *((sub, flag, value) for sub in ("audit", "mitigate") for flag, value in (
+        ("--eta", 0.5), ("--target-recall", 0.8), ("--max-iterations", 3), ("--epsilon-gap", 0.1),
+    )),
+    ("analyze", "--seed", 1),
+    ("augment", "--seed", 1),
+    *((sub, "--jobs", 2) for sub in ("analyze", "resample", "augment", "train", "recalibrate", "heatmap")),
+]
+
+
+class TestOnlySettingsThatAreRead:
+    @pytest.mark.parametrize("sub, flag, value", DROPPED, ids=[f"{sub}{flag}" for sub, flag, _ in DROPPED])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dropped_value_exits_1_naming_it(self, tmp_path, capsys, call_counts, sub, flag, value, source):
+        key = flag[2:].replace("-", "_")
+        if source == "flag":
+            extra, name = [flag, str(value)], f"unrecognized arguments: {flag}"
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            extra, name = ["--config", str(path)], f"unknown config keys for {sub!r}: {key}"
+        out = tmp_path / "out"
+        code = main([sub, *_required_args(sub), *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert name in err
+        assert not out.exists()
+        assert dict(call_counts) == {}
+
+    @pytest.fixture
+    def read_keys(self, monkeypatch) -> set:
+        """The keys of ``cfg.values`` that a run through ``main`` reads."""
+        read: set = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        def recording_resolve(*args):
+            cfg = resolve_config(*args)
+            return replace(cfg, values=Recording(cfg.values))
+
+        monkeypatch.setattr("biaslens.cli.resolve_config", recording_resolve)
+        return read
+
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+    def test_every_settable_key_is_read(self, read_keys, dataset_dir, vit_snapshot, audit_out, tmp_path, sub):
+        """A key that no run of its subcommand reads is a flag that changes
+        nothing. A subcommand with both data sources runs once on each."""
+        manifest, root = (str(p) for p in dataset_dir)
+        from_manifest = ["--manifest", manifest, "--images-root", root]
+        sources = [FAST_SYNTHETIC, from_manifest]
+        vit = ["--snapshot", str(vit_snapshot)]
+        runs = {
+            "analyze": [["--manifest", manifest]],
+            "resample": [["--manifest", manifest]],
+            "augment": [[*from_manifest, *vit]],
+            "train": [[*src, *FAST_FIT] for src in sources],
+            "audit": [[*src, *FAST_TRAIN, "--epochs", "1"] for src in sources],
+            "mitigate": [[*src, *FAST_TRAIN, "--epochs", "1"] for src in sources],
+            "recalibrate": [[*src, *FAST_FIT, "--max-iterations", "0"] for src in sources],
+            "report": [["--run-dir", str(single_run_dir(audit_out))]],
+            "heatmap": [[*vit, *src] for src in sources],
+        }[sub]
+        for i, argv in enumerate(runs):
+            assert main([sub, *argv, "--out", str(tmp_path / str(i))]) == 0
+        settable = {f.key for f in SUBCOMMANDS[sub].flags()} - {"out", "config"}
+        assert sorted(settable - read_keys) == []
 
 
 class TestEveryConfigKey:
@@ -710,7 +804,7 @@ class TestResample:
         manifest_path, _ = dataset_dir
         out = tmp_path / "out"
         assert main(["resample", "--manifest", str(manifest_path), "--seed", "3", "--out", str(out)]) == 0
-        plan = default_plan(load_manifest(manifest_path), ResampleMode.COMBINED, seed=3)
+        plan = default_plan(class_counts(load_manifest(manifest_path)), ResampleMode.COMBINED, seed=3)
         assert (out / "plan.json").read_text() == canonical_json(plan.to_json_dict()) + "\n"
         assert json.loads((out / "distribution.json").read_text())["counts"] == plan.target_counts
 

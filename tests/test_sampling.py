@@ -125,7 +125,7 @@ class TestResampleRows:
     )
     def test_rows_are_pinned(self, mode, target, want):
         manifest = labelled_manifest(self.LABELS)
-        plan = default_plan(manifest, mode, seed=7)
+        plan = default_plan(class_counts(manifest), mode, seed=7)
         assert plan == ResamplePlan({"a": target, "b": target, "c": target}, mode, seed=7)
         assert resample_rows(manifest, plan) == want
 
@@ -202,7 +202,7 @@ class TestCombinedResample:
     @settings(max_examples=60, deadline=None)
     def test_rows_take_the_resampled_manifest(self, labels, seed):
         manifest = labelled_manifest(labels)
-        plan = default_plan(manifest, ResampleMode.COMBINED, seed)
+        plan = default_plan(class_counts(manifest), ResampleMode.COMBINED, seed)
         rows = resample_rows(manifest, plan)
         assert (manifest.subset(rows), plan) == combined_resample(manifest, seed)
 

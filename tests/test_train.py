@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaslens.nn.models import TinyCNN, build_model
-from biaslens.nn.optim import Adam, ConstantLR, LinearDecayLR, StepDecayLR, schedule_from_config
+from biaslens.cli import main
+from biaslens.nn.optim import Adam, ConstantLR, LinearDecayLR, StepDecayLR
 from biaslens.nn.snapshot import (
     MAGIC,
     ModelSnapshot,
@@ -130,20 +131,24 @@ class TestSchedules:
     def test_linear_decay_single_epoch(self):
         assert LinearDecayLR().lr_at(0.5, 0, 1) == 0.5
 
-    def test_from_config_dicts(self):
-        assert isinstance(schedule_from_config({"kind": "constant"}), ConstantLR)
-        step = schedule_from_config({"kind": "step", "factor": 0.5, "every_n": 3})
-        assert step == StepDecayLR(factor=0.5, every_n=3)
-        linear = schedule_from_config({"kind": "linear", "to": 1e-6})
-        assert linear == LinearDecayLR(to=1e-6)
+    @pytest.mark.parametrize(
+        "kind, schedule", [("constant", ConstantLR()), ("step", StepDecayLR()), ("linear", LinearDecayLR())]
+    )
+    def test_each_cli_choice_trains_the_default_schedule_of_its_kind(
+        self, tmp_path, monkeypatch, capsys, kind, schedule
+    ):
+        requested = []
 
-    def test_from_config_unknown_kind(self):
-        with pytest.raises(ValueError, match="schedule"):
-            schedule_from_config({"kind": "cosine"})
+        def capture(options, dataset, weights):
+            requested.append(options.train.lr_schedule)
+            raise RuntimeError("options captured")
 
-    def test_roundtrip_via_json(self):
-        for sched in (ConstantLR(), StepDecayLR(0.8, 5), LinearDecayLR(2e-6)):
-            assert schedule_from_config(sched.to_json_dict()) == sched
+        monkeypatch.setattr("biaslens.cli.fit", capture)
+        argv = ["train", "--n-samples", "6", "--image-size", "16", "--lr-schedule", kind]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert requested == [schedule]
+        assert main(["train", "--help"]) == 0
+        assert "{constant,step,linear}" in capsys.readouterr().out
 
 
 class TestAdam:
