@@ -57,6 +57,8 @@ from .sampling import ResampleMode, default_plan, resample_rows
 from .synthetic import SyntheticData
 
 MIN_BOX_EXTENT = 1e-3  # fraction of the frame; keeps decoded boxes non-degenerate
+# Fewest classes an audit's FN-rate/selectivity rank correlation can read.
+MIN_CLASSES = 3
 AUGMENT_NEEDS_VIT = "Augment strategy needs attention data: train with model_kind='tiny_vit'"
 
 
@@ -357,8 +359,8 @@ def correlate_errors(
     """Rank correlation (ties averaged) between per-class FN rate and
     mean selectivity. Constant series leave the coefficient undefined."""
     classes = sorted(set(fn_rates) & set(selectivity))
-    if len(classes) < 3:
-        raise AuditError(f"correlation needs >= 3 classes, got {len(classes)}")
+    if len(classes) < MIN_CLASSES:
+        raise AuditError(f"correlation needs >= {MIN_CLASSES} classes, got {len(classes)}")
     x = [fn_rates[c] for c in classes]
     y = [selectivity[c] for c in classes]
     if len(set(x)) == 1 or len(set(y)) == 1:
@@ -444,6 +446,12 @@ def run_audit(
     data: SyntheticData, options: AuditOptions, out_dir: str | Path | None = None
 ) -> AuditRun:
     """Train the unweighted baseline and assemble the pre-mitigation report."""
+    n_classes = len(data.dataset.class_order)
+    if n_classes < MIN_CLASSES:
+        raise AuditError(
+            f"an audit needs >= {MIN_CLASSES} classes, got {n_classes}: its report "
+            "rank-correlates per-class FN rate with selectivity"
+        )
     dist = compute_distribution(data.manifest)
     splits = _split_data(data, options)
 
@@ -490,7 +498,7 @@ def _lrp_informed_rows(model, train_d: SyntheticData, probs: np.ndarray, tau_rel
     stats = []
     for j, i in enumerate(rows):
         record = train_d.manifest.records[i]
-        rmap = lrp_propagate(attention, int(preds[i]), sample=j, grid=model.grid)
+        rmap = lrp_propagate(attention, sample=j, grid=model.grid)
         stats.append(
             SampleRelevanceStat(
                 in_box_fraction=relevance_mass_in_box(rmap, model.patch, record.bbox),

@@ -13,7 +13,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .manifest import AnnotationRecord
-from .nn.snapshot import ModelSnapshot, model_from_snapshot
 from .nn.train import INFERENCE_CHUNK, ArrayDataset, forward_pass
 from .pgm import write_pgm
 
@@ -197,14 +196,13 @@ class BehaviorTracker:
 @dataclass
 class AttentionSummary:
     """Cached attention for a batch: per-layer (N, heads, P, P) weights,
-    final-layer mean-query mass per sample, and per-class/condition mean
-    maps (entrywise means of row-stochastic matrices)."""
+    final-layer mean-query mass per sample, and per-class mean maps
+    (entrywise means of row-stochastic matrices)."""
 
     patch: int
     grid: tuple[int, int]
     per_layer: tuple[np.ndarray, ...]
     mean_by_class: dict[str, np.ndarray]
-    mean_by_condition: dict[str, np.ndarray]
     patch_mass: np.ndarray  # (N, P): head-averaged mean-query distribution
 
 
@@ -235,18 +233,9 @@ def patch_centers_in_box(
     return ((cx >= x1) & (cx <= x2) & (cy >= y1) & (cy <= y2)).reshape(-1)
 
 
-def extract_attention(
-    model_or_snapshot,
-    dataset: ArrayDataset,
-    conditions: Sequence[str] | None = None,
-) -> AttentionSummary:
-    """Run the batch through a ViT and collect per-layer/head attention
-    plus class- and condition-mean maps from the final layer."""
-    model = (
-        model_from_snapshot(model_or_snapshot)
-        if isinstance(model_or_snapshot, ModelSnapshot)
-        else model_or_snapshot
-    )
+def extract_attention(model, dataset: ArrayDataset) -> AttentionSummary:
+    """Run the batch through a ViT model and collect per-layer/head
+    attention plus class-mean maps from the final layer."""
     if getattr(model, "kind", None) != "tiny_vit":
         raise UnsupportedArchitectureError(
             f"attention extraction needs a tiny_vit model, got {getattr(model, 'kind', type(model).__name__)!r}"
@@ -256,20 +245,15 @@ def extract_attention(
         raise BehaviorError("model forward produced no attention caches")
     class_labels = tuple(dataset.class_order[k] for k in dataset.labels)
     final_mean_heads = inference.attention[-1].mean(axis=1)  # (N, P, P)
-
-    def _group_mean(key: Sequence[str]) -> dict[str, np.ndarray]:
-        out = {}
-        for g in sorted(set(key)):
-            idx = [i for i, v in enumerate(key) if v == g]
-            out[g] = final_mean_heads[idx].mean(axis=0)
-        return out
-
+    mean_by_class = {}
+    for c in sorted(set(class_labels)):
+        idx = [i for i, v in enumerate(class_labels) if v == c]
+        mean_by_class[c] = final_mean_heads[idx].mean(axis=0)
     return AttentionSummary(
         patch=model.patch,
         grid=model.grid,
         per_layer=inference.attention,
-        mean_by_class=_group_mean(class_labels),
-        mean_by_condition=_group_mean(tuple(conditions)) if conditions is not None else {},
+        mean_by_class=mean_by_class,
         patch_mass=inference.patch_mass,
     )
 
@@ -302,7 +286,6 @@ class RelevanceMap:
     index 0 is the pooled-output initialization, the last entry is the
     input-level patch relevance."""
 
-    class_index: int
     per_layer: tuple[np.ndarray, ...]
     grid: tuple[int, int]
 
@@ -325,7 +308,6 @@ def lrp_step(attention: np.ndarray, relevance: np.ndarray) -> np.ndarray:
 
 def lrp_propagate(
     attention_layers: Sequence[np.ndarray] | None,
-    class_index: int,
     sample: int = 0,
     grid: tuple[int, int] | None = None,
 ) -> RelevanceMap:
@@ -336,7 +318,8 @@ def lrp_propagate(
     each entry (N, heads, P, P) or (heads, P, P). The classifier's unit
     relevance reaches patches uniformly through mean pooling, then each
     layer redistributes it with R_j = sum_i A_ij R_i; the total is
-    conserved at every step.
+    conserved at every step. No step reads the classifier's weights, so
+    the map is the same for every class.
     """
     if attention_layers is None or len(attention_layers) == 0:
         raise BehaviorError("no attention caches: run a ViT forward pass first")
@@ -357,7 +340,7 @@ def lrp_propagate(
     for a in reversed(mats):
         relevance = lrp_step(a, relevance)
         per_layer.append(relevance)
-    return RelevanceMap(class_index=class_index, per_layer=tuple(per_layer), grid=grid)
+    return RelevanceMap(per_layer=tuple(per_layer), grid=grid)
 
 
 def relevance_mass_in_box(
@@ -377,7 +360,8 @@ def relevance_mass_in_box(
 
 def export_heatmap(heatmap: np.ndarray, path: str | Path) -> tuple[Path, Path]:
     """Min-max normalize a matrix to 0..255 and write `<path>.pgm` plus
-    `<path>.csv`; a constant map maps to uniform 128."""
+    `<path>.csv`, each suffix appended to the whole name, dots included;
+    a constant map maps to uniform 128."""
     m = np.asarray(heatmap, dtype=np.float64)
     if m.ndim != 2:
         raise BehaviorError(f"heatmap must be 2-D, got shape {m.shape}")
@@ -390,11 +374,9 @@ def export_heatmap(heatmap: np.ndarray, path: str | Path) -> tuple[Path, Path]:
         levels = np.full(m.shape, 128, dtype=np.int64)
 
     base = Path(path)
-    if base.suffix in {".pgm", ".csv"}:
-        base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    pgm_path = base.with_suffix(".pgm")
-    csv_path = base.with_suffix(".csv")
+    pgm_path = base.with_name(base.name + ".pgm")
+    csv_path = base.with_name(base.name + ".csv")
     write_pgm(levels / 255.0, pgm_path)
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -109,10 +109,16 @@ def _is_kind(value, kind: type, nullable: bool) -> bool:
     return isinstance(value, kind)
 
 
+# Settings that only generated data reads. A heatmap reads its seed only
+# there too; the other subcommands also seed splits and weights with it.
+_MANIFEST_UNREAD = frozenset({"synthetic", "n_samples", "image_size"})
+
+
 def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunConfig:
     flags = SUBCOMMANDS[subcommand].config_flags()
     resolved = SUBCOMMANDS[subcommand].defaults()
     config_path = explicit.pop("config", None)
+    file_values: dict = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -144,6 +150,11 @@ def resolve_config(subcommand: str, explicit: dict, out_dir: str | None) -> RunC
             except OverflowError:
                 raise CLIError(f"config file {path}: {key} is too large for a float") from None
     resolved.update(explicit)
+    if resolved.get("manifest"):
+        unread = (_MANIFEST_UNREAD | {"seed"}) if subcommand == "heatmap" else _MANIFEST_UNREAD
+        for key in sorted((explicit.keys() | file_values.keys()) & unread):
+            source = f"--{key.replace('_', '-')}" if key in explicit else f"config file {config_path}: {key}"
+            raise CLIError(f"{source} is set, but --manifest data reads only the manifest's images")
     for key, value in resolved.items():  # before any work: NaN passes every range check
         if isinstance(value, float) and not math.isfinite(value):
             raise CLIError(f"{_API_NAMES.get(key, key)} must be finite, got {value}")
@@ -512,9 +523,7 @@ def cmd_heatmap(cfg: RunConfig) -> int:
         mean_heads = res.attention[layer][0].mean(axis=0)  # (P, P)
         grid_map = mean_heads.mean(axis=0).reshape(model.grid)
     else:
-        class_index = int(res.probs[0].argmax())
-        rmap = lrp_propagate(res.attention, class_index, sample=0, grid=model.grid)
-        grid_map = rmap.as_grid()
+        grid_map = lrp_propagate(res.attention, grid=model.grid).as_grid()
     cfg.write()
     pgm_path, csv_path = export_heatmap(grid_map, cfg.out_dir / f"{source}-{sample_id}")
     print(f"wrote {pgm_path} and {csv_path}")

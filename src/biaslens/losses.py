@@ -63,23 +63,13 @@ def _normalize(raw: Mapping[str, float], target: float) -> dict[str, float]:
     return {c: v * target / total for c, v in raw.items()}
 
 
-def compute_class_weights(
-    dist: ClassDistribution, classes: Sequence[str] | None = None
-) -> ClassWeights:
-    """Inverse-frequency weights: raw(c) = 1 / (percentage(c) / 100),
-    then scaled so the normalized weights sum to the number of classes."""
-    if classes is None:
-        classes = sorted(dist.percentages)
-    raw: dict[str, float] = {}
-    for c in classes:
-        pct = dist.percentages.get(c, 0.0)
-        if pct <= 0.0:
-            raise WeightError(
-                f"class {c!r} has zero share; weight would be infinite "
-                "(oversample that class first)"
-            )
-        raw[c] = 100.0 / pct
-    k = float(len(classes))
+def compute_class_weights(dist: ClassDistribution) -> ClassWeights:
+    """Inverse-frequency weights: raw(c) = 1 / (percentage(c) / 100) for
+    each class of the distribution, in sorted order, then scaled so the
+    normalized weights sum to the number of classes. A distribution only
+    holds classes it counted, so every share is positive."""
+    raw = {c: 100.0 / dist.percentages[c] for c in sorted(dist.percentages)}
+    k = float(len(raw))
     return ClassWeights(raw=raw, normalized=_normalize(raw, k), normalization_target=k)
 
 

@@ -163,10 +163,11 @@ class Dropout(Layer):
 
 class LayerNorm(Layer):
     _caches = ("_inv_sigma", "_xhat")
+    eps = 1e-5
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
-        self.dim, self.eps = dim, eps
+        self.dim = dim
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
@@ -203,7 +204,8 @@ class LayerNorm(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution via im2col and batched GEMM; input layout (N, C, H, W).
+    """Stride-1 2-D convolution via im2col and batched GEMM; input layout
+    (N, C, H, W).
 
     Forward unfolds each sample's receptive fields into a (C*k*k, OH*OW)
     column matrix and multiplies it by the (O, C*k*k) weight matrix.
@@ -222,12 +224,11 @@ class Conv2D(Layer):
         out_channels: int,
         kernel: int,
         rng: np.random.Generator,
-        stride: int = 1,
         padding: int = 0,
     ) -> None:
         super().__init__()
         self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.kernel, self.padding = kernel, padding
         fan_in = in_channels * kernel * kernel
         self.params = {
             "W": fan_in_uniform(rng, (out_channels, in_channels, kernel, kernel), fan_in),
@@ -237,20 +238,20 @@ class Conv2D(Layer):
 
     def _im2col(self, xp: np.ndarray, oh: int, ow: int) -> np.ndarray:
         n, c, _, _ = xp.shape
-        k, s = self.kernel, self.stride
+        k = self.kernel
         cols = np.empty((n, c, k, k, oh, ow))
         for i in range(k):
             for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+                cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
         return cols.reshape(n, c * k * k, oh * ow)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"Conv2D expects {self.in_channels} channels, got shape {x.shape}")
-        k, s, p = self.kernel, self.stride, self.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
+        k, p = self.kernel, self.padding
+        oh = h + 2 * p - k + 1
+        ow = w + 2 * p - k + 1
         if p:
             xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
             xp[:, :, p : p + h, p : p + w] = x
@@ -268,7 +269,7 @@ class Conv2D(Layer):
     ) -> np.ndarray | None:
         n, _, h, w = self._x_shape
         oh, ow = self._out_hw
-        k, s, p = self.kernel, self.stride, self.padding
+        k, p = self.kernel, self.padding
         dy2 = dy.reshape(n, self.out_channels, oh * ow)
         if params:
             self.grads["W"] += (dy2 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
@@ -282,15 +283,15 @@ class Conv2D(Layer):
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, i, j]
+                dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
 
 class MaxPool2D(Layer):
-    """Non-overlapping max pooling; ties resolve to the first maximum.
+    """2x2 non-overlapping max pooling; ties resolve to the first maximum.
 
-    Forward takes the elementwise maximum of the size*size strided views
-    ``x[:, :, i::size, j::size]``. In the same pass it marks, view by view
+    Forward takes the elementwise maximum of the four strided views
+    ``x[:, :, i::2, j::2]``. In the same pass it marks, view by view
     in row-major order, where each window's first maximum sits: a bool
     "first winner" mask, one plane per view, with as many elements as
     ``x``. Backward writes each view of the input gradient as the bits of
@@ -299,31 +300,23 @@ class MaxPool2D(Layer):
     """
 
     _caches = ("_mask",)
-
-    def __init__(self, size: int = 2) -> None:
-        super().__init__()
-        self.size = size
-
-    def _views(self) -> list[tuple[slice, ...]]:
-        s = self.size
-        return [
-            (slice(None), slice(None), slice(i, None, s), slice(j, None, s))
-            for i in range(s)
-            for j in range(s)
-        ]
+    _VIEWS = tuple(
+        (slice(None), slice(None), slice(i, None, 2), slice(j, None, 2))
+        for i in range(2)
+        for j in range(2)
+    )
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
-        s = self.size
-        if h % s or w % s:
-            raise ShapeError(f"MaxPool2D size {s} does not divide input {h}x{w}")
-        views = self._views()
+        if h % 2 or w % 2:
+            raise ShapeError(f"MaxPool2D size 2 does not divide input {h}x{w}")
+        views = self._VIEWS
         out = x[views[0]].copy()
         for v in views[1:]:
             # On a tie np.maximum returns its second argument, so the
             # earlier view's value stays, down to the sign of a zero.
             np.maximum(x[v], out, out=out)
-        mask = np.empty((s * s, n, c, h // s, w // s), dtype=bool)
+        mask = np.empty((4, n, c, h // 2, w // 2), dtype=bool)
         taken = np.zeros(out.shape, dtype=bool)
         for win, v in zip(mask, views):
             np.equal(x[v], out, out=win)
@@ -337,7 +330,7 @@ class MaxPool2D(Layer):
         # the bits of where(win, dy, 0.0), signed zeros and NaN included.
         dx = np.empty(self._in_shape)
         bits = np.ascontiguousarray(dy, dtype=np.float64).view(np.int64)
-        for win, v in zip(self._mask, self._views()):
+        for win, v in zip(self._mask, self._VIEWS):
             routes = np.negative(win.view(np.int8), dtype=np.int64)
             np.bitwise_and(bits, routes, out=dx.view(np.int64)[v])
         return dx

@@ -210,10 +210,10 @@ class TinyCNN(_ModelBase):
         self._trunk: list[Layer] = [
             self._conv1,
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             self._conv2,
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
         ]
         self._tap_index = {"conv1": 1, "conv2": 4}  # post-ReLU positions
         self._cls = Dense(feat_dim, n_classes, rng)

@@ -24,8 +24,8 @@ class ConstantLR:
 class StepDecayLR:
     """Multiply the rate by ``factor`` every ``every_n`` epochs."""
 
-    factor: float = 0.9
-    every_n: int = 10
+    factor = 0.9
+    every_n = 10
     kind = "step"
 
     def lr_at(self, base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -39,7 +39,7 @@ class StepDecayLR:
 class LinearDecayLR:
     """Interpolate from the base rate to ``to`` across the run."""
 
-    to: float = 1e-5
+    to = 1e-5
     kind = "linear"
 
     def lr_at(self, base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -56,19 +56,16 @@ class LinearDecayLR:
 SCHEDULES = {s.kind: s for s in (ConstantLR(), StepDecayLR(), LinearDecayLR())}
 
 
-class Adam:
-    """Adaptive moments: m, v with beta1=0.9, beta2=0.999, eps=1e-8,
-    bias correction, and L2 weight decay folded into the gradient for
-    matrix/kernel parameters (biases and norm scales are not decayed)."""
+# Adam's moment decay rates and denominator offset.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+class Adam:
+    """Adaptive moments: m, v with BETA1, BETA2 and EPS, bias correction,
+    and L2 weight decay folded into the gradient for matrix/kernel
+    parameters (biases and norm scales are not decayed)."""
+
+    def __init__(self, weight_decay: float = 0.0) -> None:
         self.weight_decay = weight_decay
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -81,9 +78,8 @@ class Adam:
         lr: float,
     ) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
+        bias1 = 1.0 - BETA1**self._t
+        bias2 = 1.0 - BETA2**self._t
         for name in params:
             p, g = params[name], grads[name]
             if self.weight_decay and p.ndim > 1:
@@ -92,8 +88,8 @@ class Adam:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
             m, v = self._m[name], self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

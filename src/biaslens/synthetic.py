@@ -5,9 +5,9 @@ and capture-condition corruptions (darkening, blur/speckle, rotation)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .manifest import (
 from .nn.train import ArrayDataset
 from .pgm import read_pgm, write_pgm
 
-DEFAULT_CLASSES = ("disk", "bar", "cross")
-DEFAULT_CONDITION_MIX: dict[Condition, float] = {
+# The generator's classes, in label order, and its capture-condition mix.
+CLASSES = ("disk", "bar", "cross")
+CONDITION_MIX: dict[Condition, float] = {
     Condition.NORMAL: 0.6,
     Condition.NIGHT: 0.1,
     Condition.WEATHER: 0.1,
@@ -61,28 +62,19 @@ class SyntheticConfig:
     shares: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
     image_hw: tuple[int, int] = (32, 32)
     seed: int = 0
-    condition_mix: Mapping[Condition, float] = field(
-        default_factory=lambda: dict(DEFAULT_CONDITION_MIX)
-    )
-    class_names: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self) -> None:
-        if len(self.shares) != len(self.class_names):
-            raise SyntheticError(
-                f"{len(self.shares)} shares for {len(self.class_names)} classes"
-            )
+        if len(self.shares) != len(CLASSES):
+            raise SyntheticError(f"{len(self.shares)} shares for {len(CLASSES)} classes")
         if any(s <= 0 for s in self.shares) or abs(sum(self.shares) - 1.0) > 1e-9:
             raise SyntheticError(f"shares must be positive and sum to 1, got {self.shares}")
-        if self.n_samples < len(self.class_names):
+        if self.n_samples < len(CLASSES):
             raise SyntheticError("need at least one sample per class")
         if min(self.image_hw) < MIN_IMAGE_SIDE:
             raise SyntheticError(
                 f"image_hw {self.image_hw} too small; shapes need at least "
                 f"{MIN_IMAGE_SIDE}px per side"
             )
-        mix_total = sum(self.condition_mix.values())
-        if abs(mix_total - 1.0) > 1e-9:
-            raise SyntheticError(f"condition mix sums to {mix_total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,9 @@ class SyntheticData:
         )
 
 
-def parse_share_spec(spec: str, n_classes: int = 3) -> tuple[float, ...]:
+def parse_share_spec(spec: str) -> tuple[float, ...]:
     """Parse a share string: "balanced" or e.g. "imbalanced-90-5-5"."""
+    n_classes = len(CLASSES)
     spec = spec.strip().lower()
     if spec == "balanced":
         return tuple(1.0 / n_classes for _ in range(n_classes))
@@ -180,7 +173,7 @@ def _render_shape(
         cy = rng.uniform(hy + 1.0, h - hy - 1.0)
         mask = (np.abs(cx_grid - cx) <= hx) & (np.abs(cy_grid - cy) <= hy)
         bbox = (cx - hx, cy - hy, cx + hx, cy + hy)
-    elif class_name == "cross":
+    else:  # cross
         a = rng.uniform(m / 8.0, m / 5.0)
         t = rng.uniform(0.6, max(0.9, m / 24.0))
         cx = rng.uniform(a + 1.0, w - a - 1.0)
@@ -189,8 +182,6 @@ def _render_shape(
             (np.abs(cx_grid - cx) <= t) & (np.abs(cy_grid - cy) <= a)
         )
         bbox = (cx - a, cy - a, cx + a, cy + a)
-    else:
-        raise SyntheticError(f"no shape defined for class {class_name!r}")
     img = np.where(mask, bright, img)
     return img, bbox
 
@@ -247,16 +238,16 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticData:
     rng = np.random.default_rng(config.seed)
     h, w = config.image_hw
     counts = _class_counts(config.n_samples, config.shares)
-    label_seq = np.repeat(np.arange(len(config.class_names)), counts)
+    label_seq = np.repeat(np.arange(len(CLASSES)), counts)
     rng.shuffle(label_seq)
 
-    cond_names = sorted(config.condition_mix, key=lambda c: c.value)
-    cond_probs = np.array([config.condition_mix[c] for c in cond_names])
+    cond_names = sorted(CONDITION_MIX, key=lambda c: c.value)
+    cond_probs = np.array([CONDITION_MIX[c] for c in cond_names])
 
     images = np.empty((config.n_samples, 1, h, w))
     records = []
     for i, k in enumerate(label_seq):
-        class_name = config.class_names[int(k)]
+        class_name = CLASSES[int(k)]
         condition = cond_names[int(rng.choice(len(cond_names), p=cond_probs))]
         img, bbox = _render_shape(rng, class_name, (h, w))
         img, bbox = _apply_condition(rng, condition, img, bbox, (h, w))
@@ -272,9 +263,9 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticData:
         images[i, 0] = img
 
     manifest = DatasetManifest(
-        records=tuple(records), taxonomy=frozenset(config.class_names), seed=config.seed
+        records=tuple(records), taxonomy=frozenset(CLASSES), seed=config.seed
     )
-    return SyntheticData.from_records(manifest, images, config.class_names)
+    return SyntheticData.from_records(manifest, images, CLASSES)
 
 
 def write_dataset(
@@ -299,15 +290,10 @@ def write_dataset(
     return path
 
 
-def dataset_from_manifest(
-    manifest: DatasetManifest,
-    root: str | Path,
-    class_order: Sequence[str] | None = None,
-) -> SyntheticData:
-    """Reload images referenced by a manifest into an in-memory dataset."""
+def dataset_from_manifest(manifest: DatasetManifest, root: str | Path) -> SyntheticData:
+    """Reload images referenced by a manifest into an in-memory dataset,
+    its classes in sorted taxonomy order."""
     root = Path(root)
-    if class_order is None:
-        class_order = sorted(manifest.taxonomy)
     images = []
     for record in manifest.records:
         if record.image_ref is None:
@@ -323,4 +309,4 @@ def dataset_from_manifest(
                 f"match declared size {h}x{w}"
             )
         images.append(img[None, :, :])
-    return SyntheticData.from_records(manifest, np.stack(images), class_order)
+    return SyntheticData.from_records(manifest, np.stack(images), sorted(manifest.taxonomy))

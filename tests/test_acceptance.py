@@ -165,7 +165,7 @@ def test_04_relevance_conservation_and_two_patch_hand_case():
     rng = np.random.default_rng(17)
     for _ in range(100):
         res = model.forward(rng.normal(size=(1, 1, 8, 8)))
-        relmap = lrp_propagate(res.attention, class_index=0)
+        relmap = lrp_propagate(res.attention)
         for step, relevance in enumerate(relmap.per_layer):
             assert abs(relevance.sum() - 1.0) <= 1e-9, f"step {step}"
 

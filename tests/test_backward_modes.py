@@ -30,12 +30,12 @@ def layer_cases(rng: np.random.Generator, n: int) -> dict[type, tuple[Layer, np.
     """One instance and one forward input per layer class."""
     return {
         Dense: (Dense(5, 3, rng), rng.standard_normal((n, 2, 5))),
-        Conv2D: (Conv2D(2, 3, 3, rng, stride=2, padding=1), rng.standard_normal((n, 2, 6, 5))),
+        Conv2D: (Conv2D(2, 3, 3, rng, padding=1), rng.standard_normal((n, 2, 6, 5))),
         ReLU: (ReLU(), rng.standard_normal((n, 3, 4))),
         GELU: (GELU(), rng.standard_normal((n, 3, 4))),
         Dropout: (Dropout(0.5, rng), rng.standard_normal((n, 3, 4))),
         LayerNorm: (LayerNorm(4), rng.standard_normal((n, 3, 4))),
-        MaxPool2D: (MaxPool2D(2), rng.standard_normal((n, 2, 4, 6))),
+        MaxPool2D: (MaxPool2D(), rng.standard_normal((n, 2, 4, 6))),
         MultiHeadSelfAttention: (MultiHeadSelfAttention(4, 2, rng), rng.standard_normal((n, 3, 4))),
         _PositionEmbedding: (_PositionEmbedding(3, 4, rng), rng.standard_normal((n, 3, 4))),
         SpatialBoxHead: (SpatialBoxHead(4, (2, 2), rng), rng.standard_normal((n, 4, 4))),

@@ -644,6 +644,77 @@ class TestOnlySettingsThatAreRead:
         assert sorted(settable - read_keys) == []
 
 
+# Settings that only generated data reads, with a value each would accept.
+SYNTHETIC_ONLY = [("synthetic", "balanced"), ("n_samples", 60), ("image_size", 16)]
+DATA_SOURCE_SUBCOMMANDS = sorted(sub for sub, spec in SUBCOMMANDS.items() if "data source" in spec.entries)
+
+
+class TestManifestReadsNoSyntheticSetting:
+    """Beside --manifest, a setting that only generated data reads exits 1
+    naming it, before anything is written, instead of changing nothing."""
+
+    @staticmethod
+    def _argv(sub, dataset_dir, vit_snapshot, out) -> list[str]:
+        manifest, root = dataset_dir
+        fast = {
+            "train": FAST_FIT,
+            "audit": [*FAST_TRAIN, "--epochs", "1"],
+            "mitigate": [*FAST_TRAIN, "--epochs", "1"],
+            "recalibrate": [*FAST_FIT, "--max-iterations", "0"],
+            "heatmap": ["--snapshot", str(vit_snapshot)],
+        }[sub]
+        return [sub, "--manifest", str(manifest), "--images-root", str(root), *fast, "--out", str(out)]
+
+    @staticmethod
+    def _extra(tmp_path, source, key, value) -> tuple[list[str], str]:
+        """The arguments that set ``key`` by flag or config file, and how
+        the error names it."""
+        if source == "flag":
+            flag = "--" + key.replace("_", "-")
+            return [flag, str(value)], f"{flag} is set"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        return ["--config", str(path)], f"config file {path}: {key} is set"
+
+    @pytest.mark.parametrize("sub", DATA_SOURCE_SUBCOMMANDS)
+    @pytest.mark.parametrize("key, value", SYNTHETIC_ONLY, ids=[k for k, _ in SYNTHETIC_ONLY])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_synthetic_setting_exits_1_naming_it(
+        self, dataset_dir, vit_snapshot, tmp_path, capsys, call_counts, sub, key, value, source
+    ):
+        extra, name = self._extra(tmp_path, source, key, value)
+        out = tmp_path / "out"
+        code = main([*self._argv(sub, dataset_dir, vit_snapshot, out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert name in err and "--manifest" in err
+        assert not out.exists()
+        assert dict(call_counts) == {}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_heatmap_seed_exits_1_naming_it(self, dataset_dir, vit_snapshot, tmp_path, capsys, source):
+        extra, name = self._extra(tmp_path, source, "seed", 3)
+        out = tmp_path / "out"
+        code = main([*self._argv("heatmap", dataset_dir, vit_snapshot, out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert name in err
+        assert not out.exists()
+
+    def test_environment_seed_is_no_error(self, dataset_dir, vit_snapshot, tmp_path, monkeypatch):
+        monkeypatch.setenv("BIASLENS_SEED", "3")
+        out = tmp_path / "out"
+        assert main(self._argv("heatmap", dataset_dir, vit_snapshot, out)) == 0
+        assert json.loads((out / "config.json").read_text())["seed"] == 3
+
+    @pytest.mark.parametrize("sub", ["train", "heatmap"])
+    def test_unset_settings_keep_their_defaults_in_config_json(self, dataset_dir, vit_snapshot, tmp_path, sub):
+        out = tmp_path / "out"
+        assert main(self._argv(sub, dataset_dir, vit_snapshot, out)) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert {k: config[k] for k, _ in SYNTHETIC_ONLY} == {"synthetic": None, "n_samples": 600, "image_size": 32}
+
+
 class TestEveryConfigKey:
     @pytest.mark.parametrize("sub, key", CONFIG_KEYS)
     def test_wrong_json_type_exits_1_naming_the_key(self, tmp_path, capsys, sub, key):
@@ -976,6 +1047,22 @@ class TestTrain:
 
 
 class TestAuditCommand:
+    def test_two_classes_exit_1_before_training(self, tmp_path, capsys, call_counts):
+        data = generate_synthetic(
+            SyntheticConfig(n_samples=40, shares=(1 / 3, 1 / 3, 1 / 3), image_hw=(16, 16), seed=0)
+        )
+        two = data.subset(np.flatnonzero(data.dataset.labels < 2))
+        manifest = replace(two.manifest, taxonomy=frozenset(data.dataset.class_order[:2]))
+        manifest_path = write_dataset(manifest, two.dataset.images[:, 0], tmp_path / "data")
+        code = main([
+            "audit", "--manifest", str(manifest_path), "--images-root", str(tmp_path / "data"),
+            *FAST_TRAIN, "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert ">= 3 classes, got 2" in err
+        assert call_counts["train"] == 0
+
     def test_summary_and_run_dir(self, audit_out):
         summary = json.loads((audit_out / "summary.json").read_text())
         assert len(summary) == 1
@@ -1356,6 +1443,23 @@ class TestIdsThatNameFiles:
 
 
 class TestHeatmapCommand:
+    def test_dotted_sample_ids_write_their_own_files(self, dataset_dir, vit_snapshot, tmp_path):
+        manifest_path, root = dataset_dir
+        manifest = load_manifest(manifest_path)
+        records = tuple(replace(r, sample_id=f"img.{i:03d}") for i, r in enumerate(manifest.records))
+        path = tmp_path / "dotted.jsonl"
+        write_manifest(replace(manifest, records=records), path)
+        out = tmp_path / "out"
+        for sample_id in ("img.001", "img.002"):
+            assert main([
+                "heatmap", "--snapshot", str(vit_snapshot), "--manifest", str(path),
+                "--images-root", str(root), "--sample-id", sample_id, "--out", str(out),
+            ]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "attention-img.001.csv", "attention-img.001.pgm",
+            "attention-img.002.csv", "attention-img.002.pgm", "config.json",
+        ]
+
     def test_attention_map_files(self, vit_snapshot, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -1412,9 +1516,7 @@ class TestHeatmapCommand:
         sample_id = data.dataset.sample_ids[index]
         expected = {
             "attention": whole.attention[-1][index].mean(axis=0).mean(axis=0).reshape(model.grid),
-            "relevance": lrp_propagate(
-                whole.attention, int(whole.probs[index].argmax()), sample=index, grid=model.grid
-            ).as_grid(),
+            "relevance": lrp_propagate(whole.attention, sample=index, grid=model.grid).as_grid(),
         }
         rows.clear()
         for source, grid_map in expected.items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -48,7 +49,7 @@ class TestComputeClassWeights:
             per_condition={},
             total=693757,
         )
-        weights = compute_class_weights(dist, classes=["car", "ped", "cyc"])
+        weights = compute_class_weights(dist)
         npt.assert_allclose(weights.raw["car"], 4.6275, atol=1e-4)
         npt.assert_allclose(weights.raw["ped"], 40.6504, atol=1e-4)
         npt.assert_allclose(weights.raw["cyc"], 41.3223, atol=1e-4)
@@ -57,10 +58,12 @@ class TestComputeClassWeights:
         npt.assert_allclose(weights.normalized["cyc"], 1.4315, atol=1e-4)
 
     def test_study_scale_weights_from_raw_counts(self):
-        # The same shares carried at full precision from instance counts.
+        # The same shares carried at full precision from instance counts;
+        # the background's share counts in the total but gets no weight.
         manifest = make_manifest({"car": 149921, "ped": 17060, "cyc": 16779, "bg": 509997})
         dist = compute_distribution(manifest)
-        weights = compute_class_weights(dist, classes=["car", "ped", "cyc"])
+        shares = {c: dist.percentages[c] for c in ("car", "ped", "cyc")}
+        weights = compute_class_weights(replace(dist, percentages=shares))
         npt.assert_allclose(weights.raw["car"], 4.6275, atol=0.05)
         npt.assert_allclose(weights.raw["ped"], 40.6504, atol=0.05)
         npt.assert_allclose(weights.raw["cyc"], 41.3223, atol=0.05)
@@ -77,12 +80,6 @@ class TestComputeClassWeights:
         weights = compute_class_weights(compute_distribution(manifest))
         for c in "abc":
             npt.assert_allclose(weights.normalized[c], 1.0, atol=1e-12)
-
-    def test_zero_share_class_rejected(self):
-        manifest = make_manifest({"a": 10, "b": 10})
-        dist = compute_distribution(manifest)
-        with pytest.raises(WeightError, match="oversample"):
-            compute_class_weights(dist, classes=["a", "b", "missing"])
 
     def test_rarer_class_weighs_more(self):
         manifest = make_manifest({"common": 90, "rare": 10})

@@ -123,7 +123,7 @@ class TestSchedules:
         npt.assert_allclose(sched.lr_at(1.0, 25, 30), 0.81)
 
     def test_linear_decay_endpoints(self):
-        sched = LinearDecayLR(to=1e-5)
+        sched = LinearDecayLR()
         npt.assert_allclose(sched.lr_at(1e-3, 0, 11), 1e-3)
         npt.assert_allclose(sched.lr_at(1e-3, 10, 11), 1e-5)
         npt.assert_allclose(sched.lr_at(1e-3, 5, 11), (1e-3 + 1e-5) / 2)
